@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 import socket
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DelinearizeError, GatewayError
 from .linearize import delinearize, render_records
@@ -108,11 +109,14 @@ class RuleBasedD2T:
         return " ".join(sentences)
 
 
-@dataclass(frozen=True)
-class _CatalogEntry:
+class _CatalogEntry(NamedTuple):
     record: Union[Triple, Mr]
     values: tuple[str, ...]  # case-folded evidence values
     evidence: Optional[str]  # case-folded predicate/key phrase; None = values suffice
+
+
+# Maximal runs of str.isalnum characters: \w without the underscore.
+_TOKEN = re.compile(r"[^\W_]+")
 
 
 def _find_bounded(text: str, phrase: str, consumed: Sequence[tuple[int, int]]) -> Optional[int]:
@@ -140,6 +144,14 @@ class RuleBasedT2D:
     phrase also occurs; the MR name pair needs only its value. Recovered
     records are emitted in text order as a linearized string, or "" when
     nothing is recoverable.
+
+    The constructor indexes the catalog once: its distinct case-folded values
+    in matching order, each value's first alphanumeric run (a value without
+    one is always a candidate), and the entries by their first value. A
+    word-bounded occurrence of a value puts that run in the text as a whole
+    alphanumeric token, so a call searches only the values keyed by the
+    text's tokens and checks only the entries whose first value it found:
+    one call costs O(text + candidates), whatever the catalog's size.
     """
 
     def __init__(self, record_sets: Sequence[RecordSet]):
@@ -150,24 +162,38 @@ class RuleBasedT2D:
             raise ValueError("catalog record sets must share one variant")
         self.kind = kinds.pop()
         entries: dict[tuple, _CatalogEntry] = {}
+        # first value -> indices of the entries listing it first; an entry can
+        # only be recovered when its first value is found
+        by_first: dict[str, list[int]] = {}
         for rs in record_sets:
             for r in rs.records:
                 key = record_key(r)
                 if key in entries:
                     continue
                 if isinstance(r, Triple):
-                    entries[key] = _CatalogEntry(
-                        r,
-                        (r.subject.casefold(), r.object.casefold()),
-                        _phrase(r.predicate).casefold(),
-                    )
+                    values = (r.subject.casefold(), r.object.casefold())
+                    evidence = _phrase(r.predicate).casefold()
                 elif r.key.casefold() == "name":
-                    entries[key] = _CatalogEntry(r, (r.value.casefold(),), None)
+                    values, evidence = (r.value.casefold(),), None
                 else:
-                    entries[key] = _CatalogEntry(
-                        r, (r.value.casefold(),), _phrase(r.key).casefold()
-                    )
+                    values, evidence = (r.value.casefold(),), _phrase(r.key).casefold()
+                by_first.setdefault(values[0], []).append(len(entries))
+                entries[key] = _CatalogEntry(r, values, evidence)
         self._entries = tuple(entries.values())
+        self._by_first = by_first
+        # matching order: longest first, ties in value order (the sort is stable)
+        ordered = sorted({v for e in self._entries for v in e.values})
+        ordered.sort(key=len, reverse=True)
+        self._values = tuple(ordered)
+        by_token: dict[str, list[int]] = {}  # first alnum run -> value ranks
+        always: list[int] = []  # ranks of values without an alnum character
+        for rank, v in enumerate(ordered):
+            m = _TOKEN.search(v)
+            if m is None:
+                always.append(rank)
+            else:
+                by_token.setdefault(m.group(), []).append(rank)
+        self._by_token, self._always = by_token, always
 
     @classmethod
     def from_examples(cls, examples) -> "RuleBasedT2D":
@@ -177,20 +203,29 @@ class RuleBasedT2D:
         norm = normalize_text(text).casefold()
         if not norm:
             return ""
+        ranks = set(self._always)
+        for tok in set(_TOKEN.findall(norm)):
+            ranks.update(self._by_token.get(tok, ()))
         positions: dict[str, int] = {}
         consumed: list[tuple[int, int]] = []
-        values = {v for e in self._entries for v in e.values}
-        for v in sorted(values, key=lambda v: (-len(v), v)):
+        for rank in sorted(ranks):
+            v = self._values[rank]
             pos = _find_bounded(norm, v, consumed)
             if pos is not None:
                 positions[v] = pos
                 consumed.append((pos, pos + len(v)))
+        evidence: dict[str, bool] = {}
         chosen: list[tuple[int, int, Union[Triple, Mr]]] = []
-        for idx, e in enumerate(self._entries):
-            if all(v in positions for v in e.values) and (
-                e.evidence is None or _find_bounded(norm, e.evidence, ()) is not None
-            ):
-                chosen.append((min(positions[v] for v in e.values), idx, e.record))
+        for idx in (i for v in positions for i in self._by_first.get(v, ())):
+            e = self._entries[idx]
+            if not all(v in positions for v in e.values):
+                continue
+            if e.evidence is not None:
+                if e.evidence not in evidence:
+                    evidence[e.evidence] = _find_bounded(norm, e.evidence, ()) is not None
+                if not evidence[e.evidence]:
+                    continue
+            chosen.append((min(positions[v] for v in e.values), idx, e.record))
         if not chosen:
             return ""
         chosen.sort(key=lambda t: (t[0], t[1]))

@@ -284,7 +284,8 @@ def cider(
         }
 
     def cosine(u: dict[Ngram, float], v: dict[Ngram, float]) -> float:
-        dot = sum(u[g] * v[g] for g in u.keys() & v.keys())
+        # dict order, not set order: the sum must not depend on the hash seed
+        dot = sum(u[g] * v[g] for g in u if g in v)
         nu = math.sqrt(sum(x * x for x in u.values()))
         nv = math.sqrt(sum(x * x for x in v.values()))
         return dot / (nu * nv) if nu and nv else 0.0

@@ -95,7 +95,7 @@ _KIND_TYPES = {RecordKind.TRIPLESET: Triple, RecordKind.MR_SET: Mr}
 
 def record_key(r: Record, strict: bool = False) -> tuple[str, ...]:
     """Hashable identity of a record under the matching rule of `record_eq`."""
-    fields = r.fields if strict else tuple(f.casefold() for f in r.fields)
+    fields = r.fields if strict else tuple(map(str.casefold, r.fields))
     return (type(r).__name__,) + fields
 
 

@@ -3,8 +3,10 @@
 import json
 import random
 import socket
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_record_set
 from d2t_selftrain import (
@@ -14,6 +16,7 @@ from d2t_selftrain import (
     Direction,
     GatewayError,
     ModelServer,
+    Mr,
     RecordKind,
     RecordSet,
     RuleBasedD2T,
@@ -25,10 +28,13 @@ from d2t_selftrain import (
     external_handle,
     generate_batch,
     linearize,
+    normalize_text,
+    render_records,
     rule_based_handle,
     train_batch,
 )
-from d2t_selftrain.gateway import infer_record_set, shutdown_server
+from d2t_selftrain import gateway
+from d2t_selftrain.gateway import _TOKEN, _find_bounded, infer_record_set, shutdown_server
 
 
 # ------------------------------------------------------------ rule models
@@ -130,6 +136,137 @@ def test_infer_record_set_prefers_cleaner_parse():
     assert infer_record_set("a : b : c").kind is RecordKind.TRIPLESET
     assert infer_record_set("a : b").kind is RecordKind.MR_SET
     assert infer_record_set("gibberish") is None
+
+
+# ------------------------------------------------ token index vs full scan
+
+
+def _scan_generate(t2d: RuleBasedT2D, text: str) -> str:
+    """Reference: the scan of every catalog value and entry that the token
+    index replaced."""
+    norm = normalize_text(text).casefold()
+    if not norm:
+        return ""
+    positions: dict[str, int] = {}
+    consumed: list[tuple[int, int]] = []
+    values = {v for e in t2d._entries for v in e.values}
+    for v in sorted(values, key=lambda v: (-len(v), v)):
+        pos = _find_bounded(norm, v, consumed)
+        if pos is not None:
+            positions[v] = pos
+            consumed.append((pos, pos + len(v)))
+    chosen = []
+    for idx, e in enumerate(t2d._entries):
+        if all(v in positions for v in e.values) and (
+            e.evidence is None or _find_bounded(norm, e.evidence, ()) is not None
+        ):
+            chosen.append((min(positions[v] for v in e.values), idx, e.record))
+    if not chosen:
+        return ""
+    chosen.sort(key=lambda t: (t[0], t[1]))
+    return render_records([r for _, _, r in chosen])
+
+
+# Small pools so values collide, nest ("New York" / "york") and are shared
+# by several entries. Case folding changes length for "ß", "ﬁ" and "İ"; "_"
+# is not alphanumeric; some atoms have no alphanumeric character at all.
+_ATOMS = [
+    "new", "york", "New York", "ß", "SS", "straße", "STRASSE", "ﬁne", "fine",
+    "İstanbul", "istanbul", "İ", "_", "a_b", "x_", "_y", "-", "...", "'",
+    "(c)", "!?", "1901", "café", "e", "7",
+]
+_PREDICATES = ["NEAR", "LIVES_IN", "led_by", "STRASSE", "İN", "_", "a_b"]
+_MR_KEYS = ["name", "NAME", "food", "eat_Type", "near"]
+_JOINERS = [" ", "", "-", "_", ". ", ", "]
+
+_values = st.builds(
+    lambda atoms, joiner: joiner.join(atoms),
+    st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=3),
+    st.sampled_from([" ", "", "-"]),
+)
+
+
+@st.composite
+def _catalogs(draw):
+    kind = draw(st.sampled_from(list(RecordKind)))
+    if kind is RecordKind.TRIPLESET:
+        record = st.builds(Triple, _values, st.sampled_from(_PREDICATES), _values)
+    else:
+        record = st.builds(Mr, st.sampled_from(_MR_KEYS), _values)
+    sets = draw(st.lists(st.lists(record, min_size=1, max_size=3), min_size=1, max_size=8))
+    return [RecordSet(tuple(records), kind) for records in sets]
+
+
+def _mention(r) -> str:
+    if isinstance(r, Triple):
+        return f"{r.subject} {r.predicate.replace('_', ' ')} {r.object}"
+    return f"{r.key.replace('_', ' ')} {r.value}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rule_t2d_index_matches_full_scan(data):
+    catalog = data.draw(_catalogs())
+    t2d = RuleBasedT2D(catalog)
+    fields = sorted({f for rs in catalog for r in rs.records for f in r.fields})
+    mentions = [_mention(r) for rs in catalog for r in rs.records]
+    words = mentions + fields + [f.replace("_", " ") for f in fields] + _ATOMS
+    piece = st.builds(
+        lambda w, case: case(w), st.sampled_from(words), st.sampled_from([str, str.upper, str.lower])
+    )
+    parts = data.draw(st.lists(st.tuples(piece, st.sampled_from(_JOINERS)), max_size=10))
+    text = "".join(w + j for w, j in parts)
+    assert t2d.generate(text) == _scan_generate(t2d, text)
+
+
+def test_rule_t2d_index_matches_full_scan_on_dart_like_catalog():
+    # short random phrases repeat across records, so recovered records often
+    # tie on their first position and only the catalog order separates them
+    rng = random.Random(5)
+    sets = [random_record_set(rng, RecordKind.TRIPLESET) for _ in range(60)]
+    t2d = RuleBasedT2D(sets)
+    d2t = RuleBasedD2T()
+    texts = [
+        d2t.generate(linearize(a)) + " " + d2t.generate(linearize(b))
+        for a, b in zip(sets, sets[1:])
+    ]
+    assert any(_scan_generate(t2d, t) for t in texts)
+    for text in texts:
+        assert t2d.generate(text) == _scan_generate(t2d, text)
+
+
+def test_token_pattern_is_isalnum_runs():
+    # the token index is exact only if text tokens are maximal isalnum runs
+    chars = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in chars if bool(_TOKEN.fullmatch(c)) != c.isalnum()] == []
+
+
+def test_rule_t2d_cost_independent_of_catalog_size(monkeypatch):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return _find_bounded(*args)
+
+    monkeypatch.setattr(gateway, "_find_bounded", counting)
+    base = [
+        RecordSet((Triple(f"Town {i}", "NEAR", f"River {i}"),), RecordKind.TRIPLESET)
+        for i in range(10)
+    ]
+    unrelated = [
+        RecordSet((Triple(f"Zq{i}", "OWNED_BY", f"Wx{i}"),), RecordKind.TRIPLESET)
+        for i in range(5000)
+    ]
+    text = "Town 3 near River 3. Town 7 near River 7."
+    outputs, counts = [], []
+    for catalog in (base, base + unrelated):
+        t2d = RuleBasedT2D(catalog)
+        calls = 0
+        outputs.append(t2d.generate(text))
+        counts.append(calls)
+    assert outputs == ["Town 3 : NEAR : River 3 | Town 7 : NEAR : River 7"] * 2
+    assert counts[0] == counts[1]
 
 
 # ------------------------------------------------------------ handles

@@ -1,11 +1,16 @@
 """Evaluation metrics: hand oracles, invariants, and report plumbing."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import d2t_selftrain
 from conftest import random_record_set
 from d2t_selftrain import (
     MetricError,
@@ -234,6 +239,33 @@ def test_cider_matches_independent_vector_oracle():
         ["the dog ran", "a cat ran"],
     ]
     assert cider(cands, refs) == pytest.approx(_cider_oracle(cands, refs), abs=APPROX)
+
+
+_CIDER_SCRIPT = """
+import random
+from d2t_selftrain import cider
+rng = random.Random(5)
+words = "the a cat dog sat ran on near mat barn red old fast past by river town of in at".split()
+sent = lambda: " ".join(rng.choice(words) for _ in range(rng.randint(10, 30)))
+cands = [sent() for _ in range(4)]
+refs = [[sent() for _ in range(2)] for _ in range(4)]
+print(repr(cider(cands, refs)))
+"""
+
+
+def test_cider_independent_of_hash_seed():
+    # summing the cosine's dot product in set order changed the last bit of
+    # this corpus's score between string hash seeds
+    src = str(Path(d2t_selftrain.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _CIDER_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
 
 
 # ---------------------------------------------------------------- TER
