@@ -1,9 +1,11 @@
 """Uniform interface to data-to-text and text-to-data models.
 
-Two backends share one operation surface (generate_batch, train_batch,
-checkpoint): deterministic rule-based baselines that make the whole pipeline
-runnable on a desk, and a client for external trainable model servers
-speaking newline-delimited JSON over TCP.
+A ModelHandle binds a model direction to a servable: an object with
+generate/train/save/load, plus close. RuleServable runs a deterministic
+rule-based baseline in process, which makes the whole pipeline runnable on a
+desk; RemoteServable forwards each call to an external trainable model
+server speaking newline-delimited JSON over TCP. generate_batch, train_batch
+and checkpoint make the same checks on either servable.
 
 Wire protocol, one JSON object per line, UTF-8:
   request  {"id": n, "cmd": "generate"|"train"|"save"|"load"|"shutdown", ...}
@@ -19,7 +21,7 @@ import enum
 import json
 import re
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DelinearizeError, GatewayError
@@ -234,23 +236,76 @@ class RuleBasedT2D:
 
 RuleModel = Union[RuleBasedD2T, RuleBasedT2D]
 
+
+class RuleServable:
+    """In-process servable around a rule-based model.
+
+    Generation delegates to the model and ignores the decode limits; train
+    answers a pseudo loss equal to the pair count, so callers can assert
+    round-trips; save/load track checkpoint tags.
+    """
+
+    backend = Backend.RULE_BASED
+    endpoint: Optional[str] = None
+
+    def __init__(self, model: RuleModel):
+        self.model = model
+        self.tags: set[str] = set()
+
+    def generate(self, inputs: Sequence[str], max_len: int, min_len: int) -> list[str]:
+        return [self.model.generate(t) for t in inputs]
+
+    def train(self, pairs: Sequence[tuple[str, str]]) -> Optional[float]:
+        return float(len(pairs))
+
+    def save(self, tag: str) -> None:
+        self.tags.add(tag)
+
+    def load(self, tag: str) -> None:
+        if tag not in self.tags:
+            raise GatewayError(f"unknown checkpoint tag {tag!r}")
+
+    def close(self) -> None:
+        """Nothing to release: the model lives in this process."""
+
+
 _REQUEST_TIMEOUT = 600.0
 
 
-class _Connection:
-    """One NDJSON client connection: strictly increasing ids, one in flight."""
+def _parse_endpoint(endpoint: str) -> tuple[str, int]:
+    host, sep, port = endpoint.rpartition(":")
+    if not sep or not host or not port.isdigit() or not 0 < int(port) < 65536:
+        raise ValueError(f"endpoint must look like host:port, got {endpoint!r}")
+    return host, int(port)
+
+
+class RemoteServable:
+    """Servable that forwards every call to the model server at `endpoint`.
+
+    The endpoint is validated at construction and the connection opened on
+    the first request. One NDJSON connection: ids strictly increasing from 1,
+    one request in flight.
+    """
+
+    backend = Backend.EXTERNAL
 
     def __init__(self, endpoint: str):
-        host, port = _parse_endpoint(endpoint)
+        self._address = _parse_endpoint(endpoint)
+        self.endpoint = endpoint
+        self._sock: Optional[socket.socket] = None
+
+    def _connect(self) -> None:
         try:
-            self._sock = socket.create_connection((host, port), timeout=_REQUEST_TIMEOUT)
+            self._sock = socket.create_connection(self._address, timeout=_REQUEST_TIMEOUT)
         except OSError as exc:
-            raise GatewayError(f"cannot connect to model server at {endpoint}: {exc}") from exc
+            raise GatewayError(f"cannot connect to model server at {self.endpoint}: {exc}") from exc
         self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
         self._writer = self._sock.makefile("w", encoding="utf-8", newline="\n")
         self._next_id = 1
 
-    def request(self, cmd: str, **payload) -> dict:
+    def _request(self, cmd: str, **payload) -> dict:
+        if self._sock is None:
+            self._connect()
         rid = self._next_id
         self._next_id += 1
         try:
@@ -273,140 +328,120 @@ class _Connection:
             raise GatewayError(f"server refused {cmd!r}: {resp.get('error', 'no error given')}")
         return resp
 
+    def generate(self, inputs: Sequence[str], max_len: int, min_len: int) -> list[str]:
+        resp = self._request("generate", inputs=list(inputs), max_len=max_len, min_len=min_len)
+        outputs = resp.get("outputs")
+        if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+            raise GatewayError(f"generate response lacks a string 'outputs' list: {resp!r}")
+        return outputs
+
+    def train(self, pairs: Sequence[tuple[str, str]]) -> Optional[float]:
+        loss = self._request("train", pairs=[[s, t] for s, t in pairs]).get("loss")
+        if loss is not None and not isinstance(loss, (int, float)):
+            raise GatewayError(f"train response carries a non-numeric loss: {loss!r}")
+        return None if loss is None else float(loss)
+
+    def save(self, tag: str) -> None:
+        self._request("save", tag=tag)
+
+    def load(self, tag: str) -> None:
+        self._request("load", tag=tag)
+
+    def shutdown(self) -> None:
+        """Ask the server to stop, if connected, then close the connection."""
+        if self._sock is not None:
+            try:
+                self._request("shutdown")
+            finally:
+                self.close()
+
     def close(self) -> None:
+        if self._sock is None:
+            return
         for stream in (self._reader, self._writer, self._sock):
             try:
                 stream.close()
             except OSError:
                 pass
+        self._sock = None
 
 
-def _parse_endpoint(endpoint: str) -> tuple[str, int]:
-    host, sep, port = endpoint.rpartition(":")
-    if not sep or not host or not port.isdigit() or not 0 < int(port) < 65536:
-        raise ValueError(f"endpoint must look like host:port, got {endpoint!r}")
-    return host, int(port)
+Servable = Union[RuleServable, RemoteServable]
 
 
 @dataclass
 class ModelHandle:
-    """Binding of a model direction to a backend, plus checkpoint state.
+    """Binding of a model direction to a servable, plus checkpoint state.
 
-    A handle owns at most one server connection and is not safe to share
-    across concurrent callers; distinct handles may operate in parallel.
+    A handle that owns a server connection is not safe to share across
+    concurrent callers; distinct handles may operate in parallel.
     """
 
     direction: Direction
-    backend: Backend
-    endpoint: Optional[str] = None
+    servable: Servable
     decode_limits: DecodeLimits = DecodeLimits()
     checkpoint_tag: Optional[str] = None
-    rule_model: Optional[RuleModel] = None
-    history: list = field(default_factory=list, repr=False, compare=False)
-    _conn: Optional[_Connection] = field(default=None, init=False, repr=False, compare=False)
-    _tags: set = field(default_factory=set, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.backend is Backend.EXTERNAL:
-            if not self.endpoint:
-                raise ValueError("external backend requires an endpoint")
-            _parse_endpoint(self.endpoint)
-        else:
-            if self.rule_model is None:
-                if self.direction is Direction.D2T:
-                    self.rule_model = RuleBasedD2T()
-                else:
-                    raise ValueError(
-                        "rule-based T2D needs a record catalog; build a RuleBasedT2D first"
-                    )
-            want = RuleBasedD2T if self.direction is Direction.D2T else RuleBasedT2D
-            if not isinstance(self.rule_model, want):
-                raise ValueError(
-                    f"{self.direction.value} handle holds a {type(self.rule_model).__name__}"
-                )
+    @property
+    def backend(self) -> Backend:
+        return self.servable.backend
 
-    def _connection(self) -> _Connection:
-        if self._conn is None:
-            self._conn = _Connection(self.endpoint)
-        return self._conn
+    @property
+    def endpoint(self) -> Optional[str]:
+        return self.servable.endpoint
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        self.servable.close()
 
 
 def rule_based_handle(direction: Direction, model: Optional[RuleModel] = None) -> ModelHandle:
-    return ModelHandle(direction=direction, backend=Backend.RULE_BASED, rule_model=model)
+    if model is None:
+        if direction is Direction.T2D:
+            raise ValueError("rule-based T2D needs a record catalog; build a RuleBasedT2D first")
+        model = RuleBasedD2T()
+    want = RuleBasedD2T if direction is Direction.D2T else RuleBasedT2D
+    if not isinstance(model, want):
+        raise ValueError(f"{direction.value} handle holds a {type(model).__name__}")
+    return ModelHandle(direction, RuleServable(model))
 
 
 def external_handle(
     direction: Direction, endpoint: str, decode_limits: DecodeLimits = DecodeLimits()
 ) -> ModelHandle:
-    return ModelHandle(
-        direction=direction,
-        backend=Backend.EXTERNAL,
-        endpoint=endpoint,
-        decode_limits=decode_limits,
-    )
+    return ModelHandle(direction, RemoteServable(endpoint), decode_limits)
 
 
 def generate_batch(h: ModelHandle, inputs: Sequence[str]) -> list[str]:
-    """One output per input, order preserved, for either backend."""
+    """One output per input, order preserved, whatever the servable."""
     if not inputs:
         raise ValueError("generate_batch needs a non-empty input batch")
-    if h.backend is Backend.RULE_BASED:
-        return [h.rule_model.generate(t) for t in inputs]
-    resp = h._connection().request(
-        "generate",
-        inputs=list(inputs),
-        max_len=h.decode_limits.max_len,
-        min_len=h.decode_limits.min_len,
+    outputs = h.servable.generate(
+        inputs, max_len=h.decode_limits.max_len, min_len=h.decode_limits.min_len
     )
-    outputs = resp.get("outputs")
-    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-        raise GatewayError(f"generate response lacks a string 'outputs' list: {resp!r}")
     if len(outputs) != len(inputs):
         raise GatewayError(
             f"generate batch of {len(inputs)} got {len(outputs)} outputs "
-            f"({h.direction.value} at {h.endpoint})"
+            f"({h.direction.value} at {h.endpoint or 'in process'})"
         )
     return outputs
 
 
 def train_batch(h: ModelHandle, pairs: Sequence[tuple[str, str]]) -> TrainAck:
-    """Submit training pairs; rule-based backends record a no-op."""
+    """Submit training pairs; the ack carries the loss the servable reports."""
     if not pairs:
         raise ValueError("train_batch needs a non-empty pair batch")
-    if h.backend is Backend.RULE_BASED:
-        h.history.append(("train", len(pairs)))
-        return TrainAck(loss=None)
-    resp = h._connection().request("train", pairs=[[s, t] for s, t in pairs])
-    loss = resp.get("loss")
-    if loss is not None and not isinstance(loss, (int, float)):
-        raise GatewayError(f"train response carries a non-numeric loss: {loss!r}")
-    return TrainAck(loss=None if loss is None else float(loss))
+    return TrainAck(loss=h.servable.train(pairs))
 
 
 def checkpoint(h: ModelHandle, action: CheckpointAction, tag: str) -> None:
     """Save or load a named checkpoint; success updates h.checkpoint_tag."""
     if not tag or not tag.strip():
         raise ValueError("checkpoint tag must be non-empty")
-    if h.backend is Backend.RULE_BASED:
-        if action is CheckpointAction.SAVE:
-            h._tags.add(tag)
-        elif tag not in h._tags:
-            raise GatewayError(f"unknown checkpoint tag {tag!r}")
-        h.history.append((action.value, tag))
-    else:
-        h._connection().request(action.value, tag=tag)
+    getattr(h.servable, action.value)(tag)
     h.checkpoint_tag = tag
 
 
 def shutdown_server(h: ModelHandle) -> None:
-    """Ask an external server to stop; no-op for rule-based handles."""
-    if h.backend is Backend.EXTERNAL and h._conn is not None:
-        try:
-            h._conn.request("shutdown")
-        finally:
-            h.close()
+    """Ask an external server to stop; no-op for in-process servables."""
+    if isinstance(h.servable, RemoteServable):
+        h.servable.shutdown()

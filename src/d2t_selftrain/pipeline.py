@@ -23,10 +23,10 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from statistics import fmean
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .datasets import DatasetSplit
 from .errors import DatasetError, DelinearizeError, EpochError, GatewayError
@@ -140,6 +140,33 @@ class RunConfig:
         }
 
 
+def _selection_stats(verdicts: Iterable[SelectionVerdict], subset: Iterable[Pair]) -> dict:
+    """Selection funnel: accepts per case, rejects with the conditions they
+    failed, and the origins of the trained pairs."""
+    failures: dict[str, int] = {c.value: 0 for c in Condition}
+    case1 = case2 = rejected = 0
+    for v in verdicts:
+        if v.accepted:
+            if v.case_id is CaseId.CASE1:
+                case1 += 1
+            else:
+                case2 += 1
+        else:
+            rejected += 1
+            for c in v.failed_conditions:
+                failures[c.value] += 1
+    origins = {o.value: 0 for o in Origin}
+    for p in subset:
+        origins[p.origin.value] += 1
+    return {
+        "accepted_case1": case1,
+        "accepted_case2": case2,
+        "rejected": rejected,
+        "failed_conditions": failures,
+        "subset_origins": origins,
+    }
+
+
 @dataclass(frozen=True)
 class EpochTrace:
     """Complete record of one epoch: inferred tuples, verdicts, the trained
@@ -162,30 +189,6 @@ class EpochTrace:
     def checkpoint_saved(self) -> bool:
         return self.checkpoint_saved_d2t or self.checkpoint_saved_t2d
 
-    def selection_stats(self) -> dict:
-        failures: dict[str, int] = {c.value: 0 for c in Condition}
-        case1 = case2 = rejected = 0
-        for v in self.verdicts:
-            if v.accepted:
-                if v.case_id is CaseId.CASE1:
-                    case1 += 1
-                else:
-                    case2 += 1
-            else:
-                rejected += 1
-                for c in v.failed_conditions:
-                    failures[c.value] += 1
-        origins = {o.value: 0 for o in Origin}
-        for p in self.subset:
-            origins[p.origin.value] += 1
-        return {
-            "accepted_case1": case1,
-            "accepted_case2": case2,
-            "rejected": rejected,
-            "failed_conditions": failures,
-            "subset_origins": origins,
-        }
-
     def to_dict(self) -> dict:
         return {
             "epoch": self.epoch,
@@ -206,7 +209,7 @@ class EpochTrace:
             "epoch": self.epoch,
             "tuples": len(self.tuples),
             "subset_size": len(self.subset),
-            "selection": self.selection_stats(),
+            "selection": _selection_stats(self.verdicts, self.subset),
             "val_meteor_d2t": self.val_meteor_d2t,
             "val_osf_precision_t2d": self.val_osf_precision_t2d,
             "checkpoint_saved_d2t": self.checkpoint_saved_d2t,
@@ -541,25 +544,6 @@ class Orchestrator:
 
         return {"valid": all(c["passed"] for c in checks), "checks": checks}
 
-    def _aggregate_selection_stats(self) -> dict:
-        total = {
-            "accepted_case1": 0,
-            "accepted_case2": 0,
-            "rejected": 0,
-            "failed_conditions": {c.value: 0 for c in Condition},
-            "subset_origins": {o.value: 0 for o in Origin},
-        }
-        for trace in self.traces:
-            stats = trace.selection_stats()
-            total["accepted_case1"] += stats["accepted_case1"]
-            total["accepted_case2"] += stats["accepted_case2"]
-            total["rejected"] += stats["rejected"]
-            for k, v in stats["failed_conditions"].items():
-                total["failed_conditions"][k] += v
-            for k, v in stats["subset_origins"].items():
-                total["subset_origins"][k] += v
-        return total
-
     def _snapshot(self, epoch: int, reason: str) -> dict:
         snapshot = {
             "epoch": epoch,
@@ -568,12 +552,7 @@ class Orchestrator:
             "method": self.cfg.method.value,
             "data_mode": self.cfg.data_mode.value,
             "completed_epochs": len(self.traces),
-            "best": {
-                "meteor": self.best.meteor,
-                "osf_precision": self.best.osf_precision,
-                "d2t_tag": self.best.d2t_tag,
-                "t2d_tag": self.best.t2d_tag,
-            },
+            "best": asdict(self.best),
         }
         self.last_snapshot = snapshot
         if self.cfg.resume_path is not None:
@@ -602,14 +581,12 @@ class Orchestrator:
         return RunReport(
             config=self.cfg.to_dict(),
             epoch_summaries=tuple(t.summary() for t in self.traces),
-            selection_stats=self._aggregate_selection_stats(),
+            selection_stats=_selection_stats(
+                (v for t in self.traces for v in t.verdicts),
+                (p for t in self.traces for p in t.subset),
+            ),
             final_metrics=final,
             audit=self.audit(),
-            best={
-                "meteor": self.best.meteor,
-                "osf_precision": self.best.osf_precision,
-                "d2t_tag": self.best.d2t_tag,
-                "t2d_tag": self.best.t2d_tag,
-            },
+            best=asdict(self.best),
             timing=dict(self.timing),
         )

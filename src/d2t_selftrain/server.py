@@ -2,10 +2,10 @@
 
 Serves any object with generate/train/save/load methods over TCP, one JSON
 object per line. Exists so the pipeline can be driven end-to-end against a
-real socket without a neural model: the bundled servable wraps the
-deterministic rule-based baselines and answers train requests with a pseudo
-loss equal to the pair count. Real model servers only need to reproduce the
-same five commands.
+real socket without a neural model: `RuleServable`, the in-process servable
+of `gateway` re-exported here, wraps the deterministic rule-based baselines
+and answers train requests with a pseudo loss equal to the pair count. Real
+model servers only need to reproduce the same five commands.
 
 Protocol per connection: ids must be strictly increasing; any malformed line
 or protocol violation is answered with ok=false and the connection dropped.
@@ -18,29 +18,7 @@ import socketserver
 import threading
 from typing import Optional
 
-from .gateway import RuleModel
-
-
-class RuleServable:
-    """Protocol adapter around a rule-based model; tracks checkpoint tags."""
-
-    def __init__(self, model: RuleModel):
-        self.model = model
-        self.tags: set[str] = set()
-
-    def generate(self, inputs: list[str], max_len: int, min_len: int) -> list[str]:
-        return [self.model.generate(t) for t in inputs]
-
-    def train(self, pairs: list[tuple[str, str]]) -> Optional[float]:
-        # pseudo loss echoes the pair count so clients can assert round-trips
-        return float(len(pairs))
-
-    def save(self, tag: str) -> None:
-        self.tags.add(tag)
-
-    def load(self, tag: str) -> None:
-        if tag not in self.tags:
-            raise KeyError(f"unknown checkpoint tag {tag!r}")
+from .gateway import RuleServable  # noqa: F401 -- re-exported with the server
 
 
 class _Handler(socketserver.StreamRequestHandler):

@@ -15,6 +15,7 @@ from d2t_selftrain import (
     DecodeLimits,
     Direction,
     GatewayError,
+    ModelHandle,
     ModelServer,
     Mr,
     RecordKind,
@@ -275,7 +276,7 @@ def test_rule_t2d_cost_independent_of_catalog_size(monkeypatch):
 def test_rule_handle_defaults():
     h = rule_based_handle(Direction.D2T)
     assert h.backend is Backend.RULE_BASED
-    assert isinstance(h.rule_model, RuleBasedD2T)
+    assert isinstance(h.servable.model, RuleBasedD2T)
     assert h.decode_limits == DecodeLimits(max_len=256, min_len=4)
 
 
@@ -307,7 +308,7 @@ def test_generate_batch_rejects_empty():
 def test_train_and_checkpoint_rule_backend():
     h = rule_based_handle(Direction.D2T)
     ack = train_batch(h, [("s", "t")])
-    assert ack.loss is None
+    assert ack.loss == 1.0
     checkpoint(h, CheckpointAction.SAVE, "best")
     checkpoint(h, CheckpointAction.LOAD, "best")
     assert h.checkpoint_tag == "best"
@@ -317,7 +318,6 @@ def test_train_and_checkpoint_rule_backend():
         checkpoint(h, CheckpointAction.SAVE, "  ")
     with pytest.raises(ValueError):
         train_batch(h, [])
-    assert ("train", 1) in h.history
 
 
 # ------------------------------------------------------------ wire protocol
@@ -386,6 +386,51 @@ def test_external_length_mismatch_detected():
                 generate_batch(h, ["A : P : B", "C : P : D"])
         finally:
             h.close()
+
+
+# ------------------------------------------------------------ servable conformance
+
+
+@pytest.fixture(params=["in-process", "over-tcp"])
+def d2t_handle_for(request):
+    """Builds a D2T handle on a servable: the servable itself in process, or
+    a ModelServer around it reached through external_handle."""
+    opened = []
+
+    def make(servable):
+        if request.param == "in-process":
+            return ModelHandle(Direction.D2T, servable)
+        srv = ModelServer(servable).start()
+        h = external_handle(Direction.D2T, srv.endpoint)
+        opened.append((h, srv))
+        return h
+
+    yield make
+    for h, srv in opened:
+        h.close()
+        srv.stop()
+
+
+def test_servable_conformance(d2t_handle_for):
+    h = d2t_handle_for(RuleServable(RuleBasedD2T()))
+    outputs = generate_batch(h, ["A : LIKES : B", "C : NEAR : D | C : OWNS : E", "name : Cafe | food : Thai"])
+    assert outputs == ["A likes B.", "C near D. C owns E.", "Cafe food Thai."]
+    pairs = [("a", "b"), ("c", "d"), ("e", "f")]
+    assert train_batch(h, pairs).loss == len(pairs)
+    checkpoint(h, CheckpointAction.SAVE, "epoch1")
+    checkpoint(h, CheckpointAction.LOAD, "epoch1")
+    assert h.checkpoint_tag == "epoch1"
+    with pytest.raises(GatewayError) as exc_info:
+        checkpoint(h, CheckpointAction.LOAD, "missing")
+    # the server forwards the servable's error text unchanged
+    assert str(exc_info.value).endswith("unknown checkpoint tag 'missing'")
+    assert h.checkpoint_tag == "epoch1"
+
+
+def test_servable_conformance_length_check(d2t_handle_for):
+    h = d2t_handle_for(_MisbehavingServable(RuleBasedD2T()))
+    with pytest.raises(GatewayError, match="generate batch of 2 got 1 outputs"):
+        generate_batch(h, ["A : P : B", "C : P : D"])
 
 
 def _raw_roundtrip(endpoint, lines):

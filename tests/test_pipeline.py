@@ -1,5 +1,6 @@
 """Orchestrator tests: method routing, epochs, checkpoints, audit, aborts."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -13,17 +14,21 @@ from d2t_selftrain import (
     EpochError,
     EpochTrace,
     Method,
+    ModelServer,
     Orchestrator,
     Origin,
     Pair,
     RecordKind,
     RecordSet,
+    RuleBasedD2T,
+    RuleServable,
     RunConfig,
     SelfMemTuple,
     Strategy,
     Triple,
     external_handle,
     strategy_for,
+    synthetic_dataset,
 )
 from d2t_selftrain.datasets import DatasetSplit
 from d2t_selftrain.gateway import CheckpointAction
@@ -426,3 +431,47 @@ class TestAborts:
             orch.run()
         assert exc_info.value.epoch == 0
         assert orch.last_snapshot["completed_epochs"] == 0
+
+
+def _report_digest(report) -> str:
+    """sha256 of the compact, key-sorted report without timing, with server
+    endpoints (ephemeral loopback ports) replaced by a placeholder."""
+    data = report.to_dict(include_timing=False)
+    for direction in ("d2t", "t2d"):
+        if data["config"][direction]["endpoint"] is not None:
+            data["config"][direction]["endpoint"] = "loopback"
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestGoldenDigests:
+    """Whole-report digests of one desk run, pinned so that a refactor of the
+    gateway or the pipeline keeps reports byte-identical, in process and
+    with both models behind a ModelServer."""
+
+    METHOD = Method.SELF_MEM_NEW_DATA_SELF_T2D
+
+    def _digest(self, splits, d2t, t2d) -> str:
+        train, val, test = splits
+        cfg = RunConfig(method=self.METHOD, d2t=d2t, t2d=t2d, train=train, val=val, test=test, seed=42)
+        return _report_digest(Orchestrator(cfg).run())
+
+    def test_in_process(self):
+        splits = synthetic_dataset()
+        digest = self._digest(splits, *rule_handles(splits))
+        assert digest == "fc4d7417bad9122da7c705c8a66412a75cc7df6a5ac5e88c929d74417ea5456b"
+
+    def test_served(self):
+        splits = synthetic_dataset()
+        _, t2d = rule_handles(splits)
+        with ModelServer(RuleServable(RuleBasedD2T())) as d2t_srv, ModelServer(t2d.servable) as t2d_srv:
+            handles = (
+                external_handle(Direction.D2T, d2t_srv.endpoint),
+                external_handle(Direction.T2D, t2d_srv.endpoint),
+            )
+            try:
+                digest = self._digest(splits, *handles)
+            finally:
+                for h in handles:
+                    h.close()
+        assert digest == "f3a2dac6ff94886020acf85bbb7a7c7c54fdb2032bd4d63d200cde4e3f429caf"
