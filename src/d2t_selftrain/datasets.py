@@ -13,12 +13,12 @@ import csv
 import enum
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 from .errors import DatasetError, LinearizationError, RecordFieldError
-from .linearize import DEFAULT_FORMAT, linearize
+from .linearize import linearize
 from .records import Example, Mr, RecordKind, RecordSet, Triple
 
 
@@ -163,13 +163,13 @@ def load_e2e(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Datas
             warnings.append(f"row {i}: unparseable mr ({exc}), skipped")
             continue
         rs = RecordSet(records, RecordKind.MR_SET)
-        fmt = DEFAULT_FORMAT
+        subject_key = "name"
         if not any(r.key.casefold() == "name" for r in records):
             # no common-subject pair; fall back to the first pair as subject
-            fmt = replace(DEFAULT_FORMAT, subject_key=records[0].key)
-            warnings.append(f"row {i}: no name attribute, using {records[0].key!r} as subject")
+            subject_key = records[0].key
+            warnings.append(f"row {i}: no name attribute, using {subject_key!r} as subject")
         try:
-            source_text = linearize(rs, fmt)
+            source_text = linearize(rs, subject_key)
         except LinearizationError as exc:
             warnings.append(f"row {i}: cannot linearize ({exc}), skipped")
             continue

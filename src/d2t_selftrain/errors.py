@@ -6,7 +6,7 @@ class PipelineError(Exception):
 
 
 class RecordFieldError(PipelineError):
-    """A record field is empty or contains a reserved separator sequence."""
+    """A record field is empty, or holds or borders on a reserved separator."""
 
 
 class VariantMismatchError(PipelineError):

@@ -12,7 +12,9 @@ Wire protocol, one JSON object per line, UTF-8:
   response {"id": n, "ok": true|false, ...}
 ids are strictly increasing per connection with one request in flight at a
 time. Payload fields: inputs/max_len/min_len -> outputs (generate),
-pairs -> loss (train), tag (save/load), error (any failure).
+pairs -> loss (train), tag (save/load), error (any failure). Every generate
+request carries the fixed decode limits MAX_LEN (256) and MIN_LEN (4), the
+values the run report records.
 """
 
 from __future__ import annotations
@@ -51,10 +53,9 @@ class CheckpointAction(enum.Enum):
     LOAD = "load"
 
 
-@dataclass(frozen=True)
-class DecodeLimits:
-    max_len: int = 256
-    min_len: int = 4
+# Decode limits sent with every generate request, to every servable.
+MAX_LEN = 256
+MIN_LEN = 4
 
 
 @dataclass(frozen=True)
@@ -379,7 +380,6 @@ class ModelHandle:
 
     direction: Direction
     servable: Servable
-    decode_limits: DecodeLimits = DecodeLimits()
     checkpoint_tag: Optional[str] = None
 
     @property
@@ -405,19 +405,15 @@ def rule_based_handle(direction: Direction, model: Optional[RuleModel] = None) -
     return ModelHandle(direction, RuleServable(model))
 
 
-def external_handle(
-    direction: Direction, endpoint: str, decode_limits: DecodeLimits = DecodeLimits()
-) -> ModelHandle:
-    return ModelHandle(direction, RemoteServable(endpoint), decode_limits)
+def external_handle(direction: Direction, endpoint: str) -> ModelHandle:
+    return ModelHandle(direction, RemoteServable(endpoint))
 
 
 def generate_batch(h: ModelHandle, inputs: Sequence[str]) -> list[str]:
     """One output per input, order preserved, whatever the servable."""
     if not inputs:
         raise ValueError("generate_batch needs a non-empty input batch")
-    outputs = h.servable.generate(
-        inputs, max_len=h.decode_limits.max_len, min_len=h.decode_limits.min_len
-    )
+    outputs = h.servable.generate(inputs, max_len=MAX_LEN, min_len=MIN_LEN)
     if len(outputs) != len(inputs):
         raise GatewayError(
             f"generate batch of {len(inputs)} got {len(outputs)} outputs "

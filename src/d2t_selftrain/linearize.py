@@ -25,22 +25,6 @@ from .records import (
 
 
 @dataclass(frozen=True)
-class LinearFormat:
-    record_sep: str = RECORD_SEP
-    field_sep: str = FIELD_SEP
-    subject_key: str = "name"  # MR sets only
-
-    def __post_init__(self):
-        if not self.record_sep or not self.field_sep:
-            raise LinearizationError("separators must be non-empty")
-        if self.record_sep == self.field_sep:
-            raise LinearizationError("record and field separators must differ")
-
-
-DEFAULT_FORMAT = LinearFormat()
-
-
-@dataclass(frozen=True)
 class DelinearizeResult:
     """Parsed record set plus the number of malformed segments dropped."""
 
@@ -48,51 +32,41 @@ class DelinearizeResult:
     dropped: int
 
 
-def _check_collision(fields: tuple[str, ...], fmt: LinearFormat) -> None:
-    for f in fields:
-        if fmt.record_sep in f or fmt.field_sep in f:
-            raise LinearizationError(
-                f"field {f!r} collides with a separator of the linear format"
-            )
-
-
-def _subject_index(rs: RecordSet, fmt: LinearFormat) -> int:
+def _subject_index(rs: RecordSet, subject_key: str) -> int:
     matches = [
-        i for i, r in enumerate(rs.records) if r.key.casefold() == fmt.subject_key.casefold()
+        i for i, r in enumerate(rs.records) if r.key.casefold() == subject_key.casefold()
     ]
     if len(matches) != 1:
         raise LinearizationError(
-            f"MR set must contain the subject pair {fmt.subject_key!r} exactly once, "
+            f"MR set must contain the subject pair {subject_key!r} exactly once, "
             f"found {len(matches)}"
         )
     return matches[0]
 
 
-def render_records(records, fmt: LinearFormat = DEFAULT_FORMAT) -> str:
+def render_records(records) -> str:
     """Join records in the given order without structural validation."""
-    return fmt.record_sep.join(fmt.field_sep.join(r.fields) for r in records)
+    return RECORD_SEP.join(FIELD_SEP.join(r.fields) for r in records)
 
 
-def linearize(rs: RecordSet, fmt: LinearFormat = DEFAULT_FORMAT) -> str:
+def linearize(rs: RecordSet, subject_key: str = "name") -> str:
     """Render a valid record set in the linear string format.
 
-    For MR sets the common-subject pair is moved to the front; everything
-    else keeps its original order.
+    For MR sets the common-subject pair, the one keyed `subject_key`
+    (case-folded), is moved to the front; everything else keeps its original
+    order. Fields need no check here: records reject the separators when
+    they are built.
     """
     if rs.is_empty:
         raise LinearizationError("cannot linearize an empty record set")
-    for r in rs.records:
-        _check_collision(r.fields, fmt)
     if rs.kind is RecordKind.MR_SET:
-        si = _subject_index(rs, fmt)
+        si = _subject_index(rs, subject_key)
         ordered = (rs.records[si],) + rs.records[:si] + rs.records[si + 1 :]
-        return render_records(ordered, fmt)
-    return render_records(rs.records, fmt)
+        return render_records(ordered)
+    return render_records(rs.records)
 
 
-def delinearize(
-    t: str, kind: RecordKind, fmt: LinearFormat = DEFAULT_FORMAT
-) -> DelinearizeResult:
+def delinearize(t: str, kind: RecordKind) -> DelinearizeResult:
     """Parse a linearized string back into a record set.
 
     Input may be arbitrary model output: segments that do not split into the
@@ -104,9 +78,9 @@ def delinearize(
     records: list[Record] = []
     dropped = 0
     text = normalize_text(t)
-    segments = text.split(fmt.record_sep) if text else []
+    segments = text.split(RECORD_SEP) if text else []
     for seg in segments:
-        fields = [normalize_text(f) for f in seg.split(fmt.field_sep)]
+        fields = [normalize_text(f) for f in seg.split(FIELD_SEP)]
         if len(fields) != n_fields or not all(fields):
             dropped += 1
             continue

@@ -395,15 +395,15 @@ class OsfScore:
         }
 
 
-def osf(input_kb: RecordSet, reconstructed_kb: RecordSet, strict: bool = False) -> OsfScore:
+def osf(input_kb: RecordSet, reconstructed_kb: RecordSet) -> OsfScore:
     """Slot-filling scores: records matched between input and reconstruction
     under set semantics; precision is 0 when the reconstruction is empty."""
     if input_kb.kind is not reconstructed_kb.kind:
         raise VariantMismatchError(
             f"cannot compare {input_kb.kind.value} with {reconstructed_kb.kind.value}"
         )
-    in_keys = {record_key(r, strict=strict) for r in input_kb.records}
-    out_keys = {record_key(r, strict=strict) for r in reconstructed_kb.records}
+    in_keys = {record_key(r) for r in input_kb.records}
+    out_keys = {record_key(r) for r in reconstructed_kb.records}
     matches = len(in_keys & out_keys)
     precision = matches / len(out_keys) if out_keys else 0.0
     recall = matches / len(in_keys) if in_keys else 0.0

@@ -47,7 +47,7 @@ class OptimizationOutcome:
         }
 
 
-def optimize_target(x: RecordSet, y_prime: str, strict: bool = False) -> OptimizationOutcome:
+def optimize_target(x: RecordSet, y_prime: str) -> OptimizationOutcome:
     """Greedy sentence selection over `y_prime` against the source values of `x`.
 
     Loop order is sentences outer, values inner; a sentence is kept the first
@@ -66,7 +66,7 @@ def optimize_target(x: RecordSet, y_prime: str, strict: bool = False) -> Optimiz
             k = v.casefold()
             if k in matched_keys:
                 continue
-            if value_in_text(v, s, strict=strict):
+            if value_in_text(v, s):
                 matched_keys.add(k)
                 matched.append(v)
                 if s not in kept:

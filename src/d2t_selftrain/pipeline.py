@@ -31,6 +31,8 @@ from typing import Iterable, Optional, Sequence
 from .datasets import DatasetSplit
 from .errors import DatasetError, DelinearizeError, EpochError, GatewayError
 from .gateway import (
+    MAX_LEN,
+    MIN_LEN,
     CheckpointAction,
     ModelHandle,
     checkpoint,
@@ -49,6 +51,7 @@ from .selection import (
     allocate,
     build_subset,
     derive_seed,
+    elite_pair,
     judge_pair,
 )
 
@@ -128,10 +131,7 @@ class RunConfig:
             "seed": self.seed,
             "d2t": {"backend": self.d2t.backend.value, "endpoint": self.d2t.endpoint},
             "t2d": {"backend": self.t2d.backend.value, "endpoint": self.t2d.endpoint},
-            "decode_limits": {
-                "max_len": self.d2t.decode_limits.max_len,
-                "min_len": self.d2t.decode_limits.min_len,
-            },
+            "decode_limits": {"max_len": MAX_LEN, "min_len": MIN_LEN},
             "dataset_sizes": {
                 "train": len(self.train),
                 "validation": len(self.val),
@@ -377,25 +377,17 @@ class Orchestrator:
                         include_remaining=self.cfg.method.includes_new_data,
                     )
                 )
-            with self._timed("step6a-train-d2t"):
-                train_batch(
-                    self.cfg.d2t, [(p.source_text, p.target_text) for p in subset]
-                )
-            if self.cfg.method.trains_t2d:
-                with self._timed("step6b-train-t2d"):
-                    train_batch(
-                        self.cfg.t2d, [(p.target_text, p.source_text) for p in subset]
-                    )
         else:
-            tuples = ()
-            verdicts = ()
+            tuples = verdicts = ()
             subset = tuple(
                 Pair(ex.source_text, ex.target, Origin.GOLD) for ex in gold
             )
-            with self._timed("step6a-train-d2t"):
-                train_batch(
-                    self.cfg.d2t, [(p.source_text, p.target_text) for p in subset]
-                )
+
+        with self._timed("step6a-train-d2t"):
+            train_batch(self.cfg.d2t, [(p.source_text, p.target_text) for p in subset])
+        if self.cfg.method.trains_t2d:
+            with self._timed("step6b-train-t2d"):
+                train_batch(self.cfg.t2d, [(p.target_text, p.source_text) for p in subset])
 
         with self._timed("validation"):
             val_meteor, val_osf_p = self._validate()
@@ -462,34 +454,19 @@ class Orchestrator:
         revalidated = 0
         stale = []
         for trace in self.traces:
-            # index accepted tuples by their elite target text
-            accepted: dict[str, list[tuple[SelfMemTuple, SelectionVerdict]]] = {}
-            for tup, verdict in zip(trace.tuples, trace.verdicts):
-                if verdict.accepted:
-                    target = (
-                        tup.y_dprime if verdict.case_id is CaseId.CASE2 else tup.y_prime
-                    )
-                    accepted.setdefault(target, []).append((tup, verdict))
             for pair in trace.subset:
                 if pair.origin not in (
                     Origin.SELF_MEMORY_Y_PRIME,
                     Origin.SELF_MEMORY_Y_DPRIME,
                 ):
                     continue
-                want_case = (
-                    CaseId.CASE2
-                    if pair.origin is Origin.SELF_MEMORY_Y_DPRIME
-                    else CaseId.CASE1
-                )
-                entries = [
-                    (t, v)
-                    for t, v in accepted.get(pair.target_text, [])
-                    if v.case_id is want_case
-                ]
-                if not entries:
+                i = pair.tuple_index
+                if i is None or not 0 <= i < len(trace.tuples):
                     stale.append(f"epoch {trace.epoch}: unmatched pair {pair.key()!r}")
                     continue
-                if any(judge_pair(t).accepted for t, _ in entries):
+                tup = trace.tuples[i]
+                verdict = judge_pair(tup)
+                if verdict.accepted and elite_pair(tup, verdict, pair.source_text) == pair:
                     revalidated += 1
                 else:
                     stale.append(

@@ -4,13 +4,15 @@ All types are immutable value objects; construction normalizes text fields so
 equality and hashing never depend on incidental whitespace. The separator
 sequences used by the linear string format (" | " and " : ") are reserved and
 rejected inside record fields at construction time, because the format defines
-no escaping scheme.
+no escaping scheme. Nor may a field start with ": " or "| ", end with " :" or
+" |", or be ":" or "|" alone: next to a separator it would form another one
+and shift the fields.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import RecordFieldError, VariantMismatchError
@@ -24,29 +26,24 @@ def normalize_text(t: str) -> str:
     return " ".join(t.split())
 
 
-def value_in_text(value: str, text: str, strict: bool = False) -> bool:
-    """Substring containment after whitespace normalization.
+def value_in_text(value: str, text: str) -> bool:
+    """Substring containment after whitespace normalization and case-folding.
 
-    Case-folded by default because model decoders freely re-case surface
-    forms; `strict=True` keeps the original casing.
+    Case-folded because model decoders freely re-case surface forms.
     """
-    v = normalize_text(value)
-    t = normalize_text(text)
-    if not strict:
-        v, t = v.casefold(), t.casefold()
-    if not v:
-        return False
-    return v in t
+    v = normalize_text(value).casefold()
+    return bool(v) and v in normalize_text(text).casefold()
 
 
 def _clean_field(name: str, raw: str) -> str:
     value = normalize_text(raw)
     if not value:
         raise RecordFieldError(f"record field {name!r} is empty after whitespace normalization")
+    # padded, so a field edged by a separator character is rejected too
     for sep in (RECORD_SEP, FIELD_SEP):
-        if sep in value:
+        if sep in f" {value} ":
             raise RecordFieldError(
-                f"record field {name!r} contains the reserved separator {sep!r}: {value!r}"
+                f"record field {name!r} holds or borders on the reserved separator {sep!r}: {value!r}"
             )
     return value
 
@@ -93,23 +90,9 @@ Record = Union[Triple, Mr]
 _KIND_TYPES = {RecordKind.TRIPLESET: Triple, RecordKind.MR_SET: Mr}
 
 
-def record_key(r: Record, strict: bool = False) -> tuple[str, ...]:
-    """Hashable identity of a record under the matching rule of `record_eq`."""
-    fields = r.fields if strict else tuple(map(str.casefold, r.fields))
-    return (type(r).__name__,) + fields
-
-
-def record_eq(a: Record, b: Record, strict: bool = False) -> bool:
-    """Field-wise equality after normalization and (by default) case-folding.
-
-    Raises VariantMismatchError when a triple is compared with an MR pair;
-    slot matching is only defined within a variant.
-    """
-    if type(a) is not type(b):
-        raise VariantMismatchError(
-            f"cannot compare {type(a).__name__} with {type(b).__name__}"
-        )
-    return record_key(a, strict=strict) == record_key(b, strict=strict)
+def record_key(r: Record) -> tuple[str, ...]:
+    """Hashable identity of a record: its variant and case-folded fields."""
+    return (type(r).__name__,) + tuple(map(str.casefold, r.fields))
 
 
 @dataclass(frozen=True)
@@ -221,11 +204,16 @@ class Origin(enum.Enum):
 
 @dataclass(frozen=True)
 class Pair:
-    """One training pair with a provenance tag, immutable once assigned."""
+    """One training pair with a provenance tag, immutable once assigned.
+
+    `tuple_index` points a self-memory pair at the epoch tuple it was
+    selected from; it takes no part in equality or serialization.
+    """
 
     source_text: str
     target_text: str
     origin: Origin
+    tuple_index: Optional[int] = field(default=None, compare=False)
 
     def key(self) -> tuple[str, str]:
         return (self.source_text, self.target_text)

@@ -1,11 +1,12 @@
 """Elite-pair filtering, training-subset assembly, and epoch allocation.
 
-A generated target is "elite" when it is shorter than the gold target, still
-contains every source value, and its text-to-data reconstruction introduces
-no record absent from the source. Case 1 judges the raw generation y', Case 2
-judges the optimized target y'' whenever optimization changed it. Accepted
-pairs are mixed with the untouched gold pairs (optionally) and down-sampled
-or topped up to the fixed subset size.
+A generated target is "elite" when it is shorter than the gold target (in
+characters, whitespace-normalized), still contains every source value
+(case-folded), and its text-to-data reconstruction introduces no record
+absent from the source. Case 1 judges the raw generation y', Case 2 judges
+the optimized target y'' whenever optimization changed it. Accepted pairs
+are mixed with the untouched gold pairs (optionally) and down-sampled or
+topped up to the fixed subset size.
 
 All randomness flows from one run seed through named sub-seeds so every
 strategy is independently reproducible.
@@ -66,40 +67,23 @@ class SelectionVerdict:
         }
 
 
-def text_length(t: str, tokens: bool = False) -> int:
-    """Length measure for the shorter-than-gold condition.
-
-    Character count of the normalized string by default; token count behind
-    the flag for setups that prefer penalizing word counts.
-    """
-    norm = normalize_text(t)
-    return len(norm.split()) if tokens else len(norm)
-
-
 def _judge_candidate(
-    x: RecordSet,
-    y: str,
-    y_cand: str,
-    x_cand: Optional[RecordSet],
-    strict: bool,
-    token_length: bool,
+    x: RecordSet, y: str, y_cand: str, x_cand: Optional[RecordSet]
 ) -> tuple[Condition, ...]:
     failed = []
-    if not text_length(y_cand, tokens=token_length) < text_length(y, tokens=token_length):
+    if not len(normalize_text(y_cand)) < len(normalize_text(y)):
         failed.append(Condition.LEN_NOT_SHORTER)
-    if not all(value_in_text(v, y_cand, strict=strict) for v in extract_source_values(x)):
+    if not all(value_in_text(v, y_cand) for v in extract_source_values(x)):
         failed.append(Condition.MISSING_SOURCE_VALUE)
     # Subset check via reconstruction precision: 1.0 means every reconstructed
     # record matches a source record. An empty or missing reconstruction
     # proves nothing and fails.
-    if x_cand is None or x_cand.is_empty or osf(x, x_cand, strict=strict).precision != 1.0:
+    if x_cand is None or x_cand.is_empty or osf(x, x_cand).precision != 1.0:
         failed.append(Condition.NOT_SUBSET_OF_SOURCE)
     return tuple(failed)
 
 
-def judge_pair(
-    tup: SelfMemTuple, strict: bool = False, token_length: bool = False
-) -> SelectionVerdict:
+def judge_pair(tup: SelfMemTuple) -> SelectionVerdict:
     """Apply the elite-pair conditions to one self-memory tuple.
 
     Case 1 when optimization left y' unchanged (judges y' against x'),
@@ -118,15 +102,20 @@ def judge_pair(
     else:
         case = CaseId.CASE2
         y_cand, x_cand = tup.y_dprime, tup.x_dprime
-    failed = _judge_candidate(tup.x, tup.y, y_cand, x_cand, strict, token_length)
+    failed = _judge_candidate(tup.x, tup.y, y_cand, x_cand)
     return SelectionVerdict(accepted=not failed, case_id=case, failed_conditions=failed)
 
 
-def elite_pair(tup: SelfMemTuple, verdict: SelectionVerdict, source_text: str) -> Pair:
+def elite_pair(
+    tup: SelfMemTuple,
+    verdict: SelectionVerdict,
+    source_text: str,
+    tuple_index: Optional[int] = None,
+) -> Pair:
     """The accepted pair for a tuple, tagged by which target was selected."""
     if verdict.case_id is CaseId.CASE2:
-        return Pair(source_text, tup.y_dprime, Origin.SELF_MEMORY_Y_DPRIME)
-    return Pair(source_text, tup.y_prime, Origin.SELF_MEMORY_Y_PRIME)
+        return Pair(source_text, tup.y_dprime, Origin.SELF_MEMORY_Y_DPRIME, tuple_index)
+    return Pair(source_text, tup.y_prime, Origin.SELF_MEMORY_Y_PRIME, tuple_index)
 
 
 def build_subset(
@@ -153,9 +142,9 @@ def build_subset(
 
     union: list[Pair] = []
     seen: set[tuple[str, str]] = set()
-    for ex, tup, verdict in zip(gold, tuples, verdicts):
+    for index, (ex, tup, verdict) in enumerate(zip(gold, tuples, verdicts)):
         if verdict.accepted:
-            pair = elite_pair(tup, verdict, ex.source_text)
+            pair = elite_pair(tup, verdict, ex.source_text, index)
         elif include_remaining:
             pair = Pair(ex.source_text, ex.target, Origin.REMAINING)
         else:

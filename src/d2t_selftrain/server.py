@@ -18,6 +18,7 @@ import socketserver
 import threading
 from typing import Optional
 
+from .gateway import MAX_LEN, MIN_LEN
 from .gateway import RuleServable  # noqa: F401 -- re-exported with the server
 
 
@@ -68,8 +69,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 raise ValueError("'inputs' must be a non-empty list of strings")
             outputs = servable.generate(
                 inputs,
-                max_len=int(req.get("max_len", 256)),
-                min_len=int(req.get("min_len", 4)),
+                max_len=int(req.get("max_len", MAX_LEN)),
+                min_len=int(req.get("min_len", MIN_LEN)),
             )
             return {"outputs": outputs}
         if cmd == "train":

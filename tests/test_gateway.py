@@ -12,7 +12,6 @@ from conftest import random_record_set
 from d2t_selftrain import (
     Backend,
     CheckpointAction,
-    DecodeLimits,
     Direction,
     GatewayError,
     ModelHandle,
@@ -277,7 +276,6 @@ def test_rule_handle_defaults():
     h = rule_based_handle(Direction.D2T)
     assert h.backend is Backend.RULE_BASED
     assert isinstance(h.servable.model, RuleBasedD2T)
-    assert h.decode_limits == DecodeLimits(max_len=256, min_len=4)
 
 
 def test_rule_t2d_handle_requires_catalog():

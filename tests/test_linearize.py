@@ -7,11 +7,10 @@ from hypothesis import given, strategies as st
 
 from conftest import DART_SOURCE, E2E_SOURCE, random_record_set
 from d2t_selftrain import (
-    DEFAULT_FORMAT,
     DelinearizeError,
-    LinearFormat,
     LinearizationError,
     Mr,
+    RecordFieldError,
     RecordKind,
     RecordSet,
     Triple,
@@ -50,20 +49,6 @@ def test_mr_requires_exactly_one_subject_pair(records):
 def test_empty_record_set_rejected():
     with pytest.raises(LinearizationError):
         linearize(RecordSet.empty(RecordKind.TRIPLESET))
-
-
-def test_custom_format_separator_collision_rejected():
-    fmt = LinearFormat(record_sep=" ; ", field_sep=" = ")
-    rs = RecordSet((Triple("a ; b", "p", "o"),), RecordKind.TRIPLESET)
-    with pytest.raises(LinearizationError):
-        linearize(rs, fmt)
-
-
-def test_format_validation():
-    with pytest.raises(LinearizationError):
-        LinearFormat(record_sep="", field_sep=" : ")
-    with pytest.raises(LinearizationError):
-        LinearFormat(record_sep=" : ", field_sep=" : ")
 
 
 def test_delinearize_golden_round_trip(dart_records, e2e_records):
@@ -169,6 +154,28 @@ _mr_sets = st.tuples(
 
 @given(_triple_sets | _mr_sets)
 def test_round_trip_property(rs):
+    out = delinearize(linearize(rs), rs.kind)
+    assert out.record_set == rs
+    assert out.dropped == 0
+
+
+_separator_field = st.text(alphabet="ab :|", min_size=1, max_size=6)
+
+
+@given(
+    st.lists(
+        st.tuples(_separator_field, _separator_field, _separator_field),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_round_trip_property_separator_characters(rows):
+    # whatever the records accept must round-trip, however its fields mix
+    # spaces with the separator characters
+    try:
+        rs = RecordSet(tuple(Triple(*row) for row in rows), RecordKind.TRIPLESET)
+    except RecordFieldError:
+        return
     out = delinearize(linearize(rs), rs.kind)
     assert out.record_set == rs
     assert out.dropped == 0

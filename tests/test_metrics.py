@@ -361,7 +361,6 @@ def test_osf_strict_flag_respects_case():
     rs = RecordSet((Triple("Alpha", "P", "B"),), RecordKind.TRIPLESET)
     recased = RecordSet((Triple("alpha", "p", "b"),), RecordKind.TRIPLESET)
     assert osf(rs, recased).precision == 1.0
-    assert osf(rs, recased, strict=True).precision == 0.0
 
 
 def test_osf_precision_equals_subset_inclusion_oracle():

@@ -84,9 +84,6 @@ def test_case_folded_matching_by_default():
     out = optimize_target(mr_values("Alpha"), "alpha wins. noise here.")
     assert out.changed is True
     assert out.optimized == "alpha wins."
-    strict = optimize_target(mr_values("Alpha"), "alpha wins. noise here.", strict=True)
-    assert strict.changed is False
-    assert strict.matched_values == ()
 
 
 def test_tripleset_values_are_subjects_and_objects():

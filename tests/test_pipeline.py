@@ -475,3 +475,59 @@ class TestGoldenDigests:
                 for h in handles:
                     h.close()
         assert digest == "f3a2dac6ff94886020acf85bbb7a7c7c54fdb2032bd4d63d200cde4e3f429caf"
+
+
+def test_audit_reports_pair_without_tuple_index_as_unmatched(small_splits):
+    orch = Orchestrator(make_config(small_splits, method=Method.SELF_MEM))
+    orch.run()
+    trace = orch.traces[-1]
+    pair = trace.subset[0]
+    assert pair.origin is Origin.SELF_MEMORY_Y_PRIME
+    for index in (None, len(trace.tuples)):
+        orphan = replace(pair, tuple_index=index)
+        orch.traces[-1] = replace(trace, subset=(orphan,) + trace.subset[1:])
+        check = orch.audit()["checks"][0]
+        assert check["name"] == "self-memory-pairs-revalidate"
+        assert not check["passed"]
+        assert "unmatched pair" in check["detail"]
+
+
+class _LimitRecorder(RuleServable):
+    """Rule servable that records the decode limits of every generate call."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.limits = []
+
+    def generate(self, inputs, max_len, min_len):
+        self.limits.append((max_len, min_len))
+        return super().generate(inputs, max_len, min_len)
+
+
+def test_decode_limits_on_the_wire_match_the_report():
+    splits = synthetic_dataset(30, 6, 6)
+    train, val, test = splits
+    _, t2d = rule_handles(splits)
+    servables = (_LimitRecorder(RuleBasedD2T()), _LimitRecorder(t2d.servable.model))
+    with ModelServer(servables[0]) as d2t_srv, ModelServer(servables[1]) as t2d_srv:
+        d2t = external_handle(Direction.D2T, d2t_srv.endpoint)
+        t2d = external_handle(Direction.T2D, t2d_srv.endpoint)
+        cfg = RunConfig(
+            method=Method.SELF_MEM_NEW_DATA_SELF_T2D,
+            d2t=d2t,
+            t2d=t2d,
+            train=train,
+            val=val,
+            test=test,
+            epochs=2,
+        )
+        try:
+            report = Orchestrator(cfg).run()
+        finally:
+            d2t.close()
+            t2d.close()
+    limits = report.config["decode_limits"]
+    assert limits == {"max_len": 256, "min_len": 4}
+    for servable in servables:
+        assert servable.limits
+        assert set(servable.limits) == {(limits["max_len"], limits["min_len"])}

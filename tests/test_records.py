@@ -16,7 +16,7 @@ from d2t_selftrain import (
     normalize_text,
     value_in_text,
 )
-from d2t_selftrain.records import record_eq, record_key
+from d2t_selftrain.records import record_key
 
 
 def test_normalize_text_collapses_whitespace():
@@ -27,7 +27,6 @@ def test_normalize_text_collapses_whitespace():
 
 def test_value_in_text_casefolds_by_default():
     assert value_in_text("Wolverhampton", "the wolverhampton wanderers")
-    assert not value_in_text("Wolverhampton", "the wolverhampton wanderers", strict=True)
     assert value_in_text("a  b", "x a b y")  # normalized before matching
 
 
@@ -49,7 +48,7 @@ def test_empty_field_rejected(bad):
         Mr(bad, "v")
 
 
-@pytest.mark.parametrize("bad", ["a | b", "a : b"])
+@pytest.mark.parametrize("bad", ["a | b", "a : b", "a :", ": b", "a |", "| b", ":", "|"])
 def test_reserved_separators_rejected_in_fields(bad):
     # the linear format has no escaping, so these can never round-trip
     with pytest.raises(RecordFieldError):
@@ -61,15 +60,7 @@ def test_reserved_separators_rejected_in_fields(bad):
 def test_record_eq_casefolds_by_default():
     a = Triple("Alpha", "REL", "Beta")
     b = Triple("alpha", "rel", "beta")
-    assert record_eq(a, b)
-    assert not record_eq(a, b, strict=True)
     assert record_key(a) == record_key(b)
-    assert record_key(a, strict=True) != record_key(b, strict=True)
-
-
-def test_record_eq_rejects_cross_variant_comparison():
-    with pytest.raises(VariantMismatchError):
-        record_eq(Triple("a", "b", "c"), Mr("a", "b"))
 
 
 def test_record_set_enforces_kind():
