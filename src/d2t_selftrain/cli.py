@@ -130,20 +130,24 @@ def _cmd_run(args) -> int:
         )
         t2d = rule_based_handle(Direction.T2D, catalog)
 
-    cfg = RunConfig(
-        method=Method(args.method),
-        d2t=d2t,
-        t2d=t2d,
-        train=train,
-        val=val,
-        test=test,
-        epochs=args.epochs,
-        ratio=args.ratio,
-        seed=args.seed,
-        data_mode=DataMode(args.data_mode),
-        resume_path=args.resume,
-    )
-    report = Orchestrator(cfg).run()
+    try:
+        cfg = RunConfig(
+            method=Method(args.method),
+            d2t=d2t,
+            t2d=t2d,
+            train=train,
+            val=val,
+            test=test,
+            epochs=args.epochs,
+            ratio=args.ratio,
+            seed=args.seed,
+            data_mode=DataMode(args.data_mode),
+            resume_path=args.resume,
+        )
+        report = Orchestrator(cfg).run()
+    finally:
+        d2t.close()
+        t2d.close()
     report.write(args.report)
     m = report.final_metrics
     print(

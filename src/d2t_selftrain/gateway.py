@@ -435,9 +435,3 @@ def checkpoint(h: ModelHandle, action: CheckpointAction, tag: str) -> None:
         raise ValueError("checkpoint tag must be non-empty")
     getattr(h.servable, action.value)(tag)
     h.checkpoint_tag = tag
-
-
-def shutdown_server(h: ModelHandle) -> None:
-    """Ask an external server to stop; no-op for in-process servables."""
-    if isinstance(h.servable, RemoteServable):
-        h.servable.shutdown()

@@ -301,16 +301,39 @@ def cider(
     return total / n_items
 
 
-def _edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a:
-        return len(b)
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i]
-        for j, y in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
-        prev = cur
-    return prev[-1]
+def _match_masks(rt: Sequence[str]) -> dict[str, int]:
+    """Token -> bitmask of the reference positions that hold it."""
+    peq: dict[str, int] = {}
+    for k, tok in enumerate(rt):
+        peq[tok] = peq.get(tok, 0) | 1 << k
+    return peq
+
+
+def _advance(
+    peq: dict[str, int], m: int, state: tuple[int, int, int], tokens: Sequence[str]
+) -> tuple[int, int, int]:
+    """Myers' bit-vector edit distance in Hyyrö's global form: from the column
+    state (vp, vn, score) after a hypothesis prefix, consume `tokens`. Bit k of
+    vp/vn is a +1/-1 vertical delta at reference position k; score is the word
+    edit distance of the prefix read so far to the whole m-token reference."""
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    vp, vn, score = state
+    for tok in tokens:
+        eq = peq.get(tok, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp) & mask
+        hn = vp & xh
+        if hp & top:
+            score += 1
+        elif hn & top:
+            score -= 1
+        hp = (hp << 1 | 1) & mask
+        hn = (hn << 1) & mask
+        vp = hn | ~(xv | hp) & mask
+        vn = hp & xv
+    return vp, vn, score
 
 
 def _ref_block_positions(rt: Sequence[str]) -> dict[Ngram, list[int]]:
@@ -321,38 +344,50 @@ def _ref_block_positions(rt: Sequence[str]) -> dict[Ngram, list[int]]:
     return positions
 
 
-def _ter_edits(hyp: list[str], rt: Sequence[str]) -> int:
+def _ter_edits(hyp: Sequence[str], rt: Sequence[str]) -> int:
     """Greedy shift search: repeatedly apply the block shift that most
     reduces word edit distance (first such shift on ties), one edit each,
-    then add the residual edit distance."""
+    then add the residual edit distance. `rt` must be non-empty.
+
+    Each step records the distance state after every prefix of `hyp`; a
+    shifted candidate shares `hyp[:min(i, j)]` with it, so only its tail is
+    read. A candidate already scored this step can only tie, so it is skipped."""
     ref_blocks = _ref_block_positions(rt)
+    peq = _match_masks(rt)
+    m = len(rt)
+    hyp = tuple(hyp)
     shifts = 0
-    dist = _edit_distance(hyp, rt)
-    while dist > 0:
+    while True:
+        prefix = [((1 << m) - 1, 0, m)]
+        for tok in hyp:
+            prefix.append(_advance(peq, m, prefix[-1], (tok,)))
+        dist = prefix[-1][2]
+        if dist == 0:
+            break
         best_gain = 0
-        best_hyp: Optional[list[str]] = None
-        best_dist = dist
+        best_hyp: Optional[Ngram] = None
+        seen = {hyp}
         for i in range(len(hyp)):
             for length in range(1, len(hyp) - i + 1):
-                block = tuple(hyp[i : i + length])
+                block = hyp[i : i + length]
                 targets = ref_blocks.get(block)
                 if not targets:
-                    continue
+                    break  # no longer block from i occurs in the reference
                 removed = hyp[:i] + hyp[i + length :]
                 for pos in targets:
                     j = min(pos, len(removed))
-                    shifted = removed[:j] + list(block) + removed[j:]
-                    if shifted == hyp:
+                    shifted = removed[:j] + block + removed[j:]
+                    if shifted in seen:
                         continue
-                    d = _edit_distance(shifted, rt)
+                    seen.add(shifted)
+                    p = min(i, j)
+                    d = _advance(peq, m, prefix[p], shifted[p:])[2]
                     if dist - d > best_gain:
                         best_gain = dist - d
                         best_hyp = shifted
-                        best_dist = d
         if best_hyp is None:
             break
         hyp = best_hyp
-        dist = best_dist
         shifts += 1
     return shifts + dist
 
@@ -367,7 +402,7 @@ def ter(candidate: str, references: Sequence[str]) -> float:
         rt = tokenize(ref)
         if not rt:
             raise MetricError("ter is undefined against an empty reference")
-        rate = _ter_edits(list(ct), rt) / len(rt)
+        rate = _ter_edits(ct, rt) / len(rt)
         best = rate if best is None else min(best, rate)
     return best
 

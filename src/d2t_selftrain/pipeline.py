@@ -264,6 +264,9 @@ class Orchestrator:
         for split in (cfg.train, cfg.val, cfg.test):
             if not split.examples:
                 raise DatasetError(f"{split.name.value} split is empty")
+        if len(cfg.test.examples) < 2:
+            # the final evaluation's CIDEr needs two items for its idf
+            raise DatasetError("test split needs at least 2 examples for corpus-level scoring")
         self.cfg = cfg
         self.kind: RecordKind = cfg.train.examples[0].source.kind
         self.strategy = strategy_for(cfg.method, cfg.data_mode)

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line entry point."""
 
+import gc
 import io
 import json
+import warnings
 
 import pytest
 
 from conftest import DART_SOURCE, DART_TARGET
+from d2t_selftrain import ModelServer, RuleBasedD2T, RuleBasedT2D, RuleServable, synthetic_dataset
 from d2t_selftrain.cli import main
 
 DART_ENTRY = {
@@ -266,6 +269,35 @@ class TestRunCommand:
             "validation": 1,
             "test": 2,
         }
+
+    def test_served_run_closes_its_connections(self, tmp_path, capsys):
+        examples = [ex for split in synthetic_dataset(seed=42) for ex in split.examples]
+        d2t = ModelServer(RuleServable(RuleBasedD2T()))
+        t2d = ModelServer(RuleServable(RuleBasedT2D.from_examples(examples)))
+        with d2t, t2d, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            rc = main(
+                [
+                    "run",
+                    "--dataset",
+                    "synthetic",
+                    "--method",
+                    "self-mem",
+                    "--epochs",
+                    "1",
+                    "--d2t-endpoint",
+                    d2t.endpoint,
+                    "--t2d-endpoint",
+                    t2d.endpoint,
+                    "--report",
+                    str(tmp_path / "report.json"),
+                ]
+            )
+            gc.collect()
+        assert rc == 0
+        assert "audit ok" in capsys.readouterr().out
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_bad_endpoint_flag(self, capsys):
         rc = main(

@@ -34,7 +34,7 @@ from d2t_selftrain import (
     train_batch,
 )
 from d2t_selftrain import gateway
-from d2t_selftrain.gateway import _TOKEN, _find_bounded, infer_record_set, shutdown_server
+from d2t_selftrain.gateway import _TOKEN, _find_bounded, infer_record_set
 
 
 # ------------------------------------------------------------ rule models
@@ -366,7 +366,7 @@ def test_external_connection_refused():
 def test_external_shutdown(echo_server):
     h = external_handle(Direction.D2T, echo_server.endpoint)
     generate_batch(h, ["A : LIKES : B"])
-    shutdown_server(h)  # must not raise; server thread stops itself
+    h.servable.shutdown()  # must not raise; server thread stops itself
 
 
 class _MisbehavingServable(RuleServable):

@@ -7,8 +7,10 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Optional, Sequence
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import d2t_selftrain
 from conftest import random_record_set
@@ -32,6 +34,7 @@ from d2t_selftrain import (
     ter,
     tokenize,
 )
+from d2t_selftrain.metrics import _advance, _match_masks, _ref_block_positions, _ter_edits
 from d2t_selftrain.records import record_key
 
 APPROX = 1e-9
@@ -294,13 +297,103 @@ def test_ter_min_over_references():
 
 
 def test_ter_shift_never_hurts():
-    # shift search may only reduce the plain edit distance rate
+    # shift search may only reduce the plain edit distance rate: a shift is
+    # taken only when it cuts the distance by more than the one edit it costs
     rng = random.Random(5)
     vocab = ["a", "b", "c", "d"]
     for _ in range(100):
         cand = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 6)))
         ref = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 6)))
-        assert ter(cand, [ref]) >= 0.0
+        rt = tokenize(ref)
+        assert ter(cand, [ref]) <= _dp_edit_distance(tokenize(cand), rt) / len(rt)
+
+
+# The O(L^2)-per-candidate search that the bit-parallel one replaced, kept
+# verbatim as the reference the new search must equal.
+
+
+def _dp_edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
+    if not a:
+        return len(b)
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        cur = [i]
+        for j, y in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
+
+
+def _dp_ter_edits(hyp: list[str], rt: Sequence[str]) -> int:
+    """Greedy shift search: repeatedly apply the block shift that most
+    reduces word edit distance (first such shift on ties), one edit each,
+    then add the residual edit distance."""
+    ref_blocks = _ref_block_positions(rt)
+    shifts = 0
+    dist = _dp_edit_distance(hyp, rt)
+    while dist > 0:
+        best_gain = 0
+        best_hyp: Optional[list[str]] = None
+        best_dist = dist
+        for i in range(len(hyp)):
+            for length in range(1, len(hyp) - i + 1):
+                block = tuple(hyp[i : i + length])
+                targets = ref_blocks.get(block)
+                if not targets:
+                    continue
+                removed = hyp[:i] + hyp[i + length :]
+                for pos in targets:
+                    j = min(pos, len(removed))
+                    shifted = removed[:j] + list(block) + removed[j:]
+                    if shifted == hyp:
+                        continue
+                    d = _dp_edit_distance(shifted, rt)
+                    if dist - d > best_gain:
+                        best_gain = dist - d
+                        best_hyp = shifted
+                        best_dist = d
+        if best_hyp is None:
+            break
+        hyp = best_hyp
+        dist = best_dist
+        shifts += 1
+    return shifts + dist
+
+
+def _tokens(alphabet: str, min_size: int, max_size: int):
+    return st.lists(st.sampled_from(list(alphabet)), min_size=min_size, max_size=max_size)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hyp=_tokens("abc", 0, 10), ref=_tokens("abc", 1, 10))
+@example(hyp=[], ref=["a", "b"])
+def test_ter_edits_match_dp_search_on_small_alphabet(hyp, ref):
+    # three tokens: ties between shifts and repeated blocks are the norm
+    assert _ter_edits(hyp, ref) == _dp_ter_edits(hyp, ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hyp=_tokens("abcdefgh", 0, 10), ref=_tokens("abcdefgh", 65, 80))
+def test_ter_edits_match_dp_search_past_64_reference_tokens(hyp, ref):
+    assert _ter_edits(hyp, ref) == _dp_ter_edits(hyp, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hyp=_tokens("abcd", 0, 100), ref=_tokens("abcd", 1, 100))
+def test_bit_parallel_distance_matches_dp(hyp, ref):
+    m = len(ref)
+    start = ((1 << m) - 1, 0, m)
+    assert _advance(_match_masks(ref), m, start, hyp)[2] == _dp_edit_distance(hyp, ref)
+
+
+def test_ter_ties_keep_the_first_shift():
+    # Seven shifts each cut the distance from 4 to 2. The first one found
+    # moves hyp[0] behind "b" and leaves 2 more edits, 3 in all; the later
+    # tie that moves "a a" to the end leaves one shift, 2 in all.
+    hyp, ref = "a a b c".split(), "c b a a".split()
+    assert 1 + _dp_ter_edits("b c a a".split(), ref) == 2
+    assert _ter_edits(hyp, ref) == _dp_ter_edits(hyp, ref) == 3
+    assert ter("a a b c", ["c b a a"]) == pytest.approx(3 / 4, abs=APPROX)
 
 
 def test_ter_empty_reference_rejected():

@@ -105,6 +105,18 @@ class TestOrchestratorSetup:
         with pytest.raises(DatasetError, match="validation split is empty"):
             Orchestrator(cfg)
 
+    def test_one_example_test_split_rejected_before_training(self, monkeypatch):
+        # CIDEr needs two test items; a 1-item split must fail before any epoch
+        train, val, test = synthetic_dataset(30, 6, 6)
+        one = DatasetSplit(test.name, test.examples[:1])
+        monkeypatch.setattr(
+            "d2t_selftrain.pipeline.train_batch",
+            lambda *a, **k: pytest.fail("trained before the test split was checked"),
+        )
+        cfg = make_config((train, val, one), epochs=2)
+        with pytest.raises(DatasetError, match="test split needs at least 2 examples"):
+            Orchestrator(cfg).run()
+
     def test_plan_matches_config(self, small_splits):
         orch = Orchestrator(make_config(small_splits))
         assert orch.plan.block_size == 12
