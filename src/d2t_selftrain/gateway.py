@@ -23,7 +23,9 @@ import enum
 import json
 import re
 import socket
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DelinearizeError, GatewayError
@@ -34,7 +36,6 @@ from .records import (
     RecordSet,
     Triple,
     normalize_text,
-    record_key,
 )
 
 
@@ -79,6 +80,8 @@ def infer_record_set(text: str) -> Optional[RecordSet]:
             continue
         if best is None or res.dropped < best.dropped:
             best = res
+        if best.dropped == 0:
+            break  # a later parse can only tie, and ties go to the earlier
     return None if best is None else best.record_set
 
 
@@ -149,12 +152,14 @@ class RuleBasedT2D:
     nothing is recoverable.
 
     The constructor indexes the catalog once: its distinct case-folded values
-    in matching order, each value's first alphanumeric run (a value without
-    one is always a candidate), and the entries by their first value. A
-    word-bounded occurrence of a value puts that run in the text as a whole
-    alphanumeric token, so a call searches only the values keyed by the
-    text's tokens and checks only the entries whose first value it found:
-    one call costs O(text + candidates), whatever the catalog's size.
+    in matching order, each value's rarest alphanumeric run (the one that
+    occurs least often across the values, the earliest on ties; a value
+    without one is always a candidate), and the entries by their first value.
+    A word-bounded occurrence of a value puts every one of its runs in the
+    text as a whole alphanumeric token, so a call searches only the values
+    keyed by the text's tokens and checks only the entries whose first value
+    it found: one call costs O(text + candidates), and a run that many values
+    share ("amber" in "amber abbey 7") does not make them all candidates.
     """
 
     def __init__(self, record_sets: Sequence[RecordSet]):
@@ -168,18 +173,20 @@ class RuleBasedT2D:
         # first value -> indices of the entries listing it first; an entry can
         # only be recovered when its first value is found
         by_first: dict[str, list[int]] = {}
+        # one variant, so the case-folded fields alone identify a record
+        # (record_key without the variant name)
         for rs in record_sets:
             for r in rs.records:
-                key = record_key(r)
-                if key in entries:
-                    continue
                 if isinstance(r, Triple):
                     values = (r.subject.casefold(), r.object.casefold())
+                    key = (values[0], r.predicate.casefold(), values[1])
                     evidence = _phrase(r.predicate).casefold()
-                elif r.key.casefold() == "name":
-                    values, evidence = (r.value.casefold(),), None
                 else:
-                    values, evidence = (r.value.casefold(),), _phrase(r.key).casefold()
+                    values = (r.value.casefold(),)
+                    key = (r.key.casefold(), values[0])
+                    evidence = None if key[0] == "name" else _phrase(r.key).casefold()
+                if key in entries:
+                    continue
                 by_first.setdefault(values[0], []).append(len(entries))
                 entries[key] = _CatalogEntry(r, values, evidence)
         self._entries = tuple(entries.values())
@@ -188,14 +195,15 @@ class RuleBasedT2D:
         ordered = sorted({v for e in self._entries for v in e.values})
         ordered.sort(key=len, reverse=True)
         self._values = tuple(ordered)
-        by_token: dict[str, list[int]] = {}  # first alnum run -> value ranks
+        runs = [_TOKEN.findall(v) for v in ordered]
+        count = Counter(chain.from_iterable(runs)).__getitem__
+        by_token: dict[str, list[int]] = {}  # rarest alnum run -> value ranks
         always: list[int] = []  # ranks of values without an alnum character
-        for rank, v in enumerate(ordered):
-            m = _TOKEN.search(v)
-            if m is None:
-                always.append(rank)
+        for rank, rs in enumerate(runs):
+            if rs:
+                by_token.setdefault(min(rs, key=count), []).append(rank)
             else:
-                by_token.setdefault(m.group(), []).append(rank)
+                always.append(rank)
         self._by_token, self._always = by_token, always
 
     @classmethod
@@ -285,7 +293,10 @@ class RemoteServable:
 
     The endpoint is validated at construction and the connection opened on
     the first request. One NDJSON connection: ids strictly increasing from 1,
-    one request in flight.
+    one request in flight. A transport or framing failure (socket error or
+    timeout, end of stream, malformed line, wrong id) closes the connection
+    and the next call opens a new one; a server's refusal (ok false) keeps
+    it. Nothing is retried.
     """
 
     backend = Backend.EXTERNAL
@@ -310,6 +321,20 @@ class RemoteServable:
         rid = self._next_id
         self._next_id += 1
         try:
+            resp = self._exchange(rid, cmd, payload)
+        except GatewayError:
+            # the stream may still carry a late or partial reply: drop it, so
+            # the next call reconnects with ids from 1
+            self.close()
+            raise
+        if not resp.get("ok"):
+            raise GatewayError(f"server refused {cmd!r}: {resp.get('error', 'no error given')}")
+        return resp
+
+    def _exchange(self, rid: int, cmd: str, payload: dict) -> dict:
+        """Send one request and read its reply; GatewayError on any transport
+        or framing failure."""
+        try:
             self._writer.write(json.dumps({"id": rid, "cmd": cmd, **payload}, ensure_ascii=False) + "\n")
             self._writer.flush()
             line = self._reader.readline()
@@ -325,8 +350,6 @@ class RemoteServable:
             raise GatewayError(
                 f"response id mismatch for {cmd!r}: sent {rid}, got {resp.get('id') if isinstance(resp, dict) else resp!r}"
             )
-        if not resp.get("ok"):
-            raise GatewayError(f"server refused {cmd!r}: {resp.get('error', 'no error given')}")
         return resp
 
     def generate(self, inputs: Sequence[str], max_len: int, min_len: int) -> list[str]:

@@ -80,7 +80,9 @@ def delinearize(t: str, kind: RecordKind) -> DelinearizeResult:
     text = normalize_text(t)
     segments = text.split(RECORD_SEP) if text else []
     for seg in segments:
-        fields = [normalize_text(f) for f in seg.split(FIELD_SEP)]
+        # pieces of normalised text split at space-edged separators: already
+        # normalised themselves
+        fields = seg.split(FIELD_SEP)
         if len(fields) != n_fields or not all(fields):
             dropped += 1
             continue

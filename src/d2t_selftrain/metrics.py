@@ -41,6 +41,9 @@ def tokenize(text: str) -> list[str]:
     """
     tokens: list[str] = []
     for chunk in normalize_text(text).casefold().split():
+        if chunk[0].isalnum() and chunk[-1].isalnum():  # no punctuation to split off
+            tokens.append(chunk)
+            continue
         lead: list[str] = []
         while chunk and _is_punct(chunk[0]):
             lead.append(chunk[0])

@@ -9,6 +9,8 @@ model servers only need to reproduce the same five commands.
 
 Protocol per connection: ids must be strictly increasing; any malformed line
 or protocol violation is answered with ok=false and the connection dropped.
+A read or write that fails (the client reset or went away) ends the
+connection quietly.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ class _Handler(socketserver.StreamRequestHandler):
         self.wfile.write((json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8"))
 
     def handle(self) -> None:
+        try:
+            self._serve()
+        except OSError:
+            return  # the client reset or dropped the connection: it is over
+
+    def _serve(self) -> None:
         last_id = 0
         servable = self.server.servable
         lock = self.server.model_lock

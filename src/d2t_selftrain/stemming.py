@@ -7,6 +7,8 @@ match. Used by the METEOR stem-matching stage; no external lexical data.
 
 from __future__ import annotations
 
+import functools
+
 
 def _is_consonant(word: str, i: int) -> bool:
     ch = word[i]
@@ -177,8 +179,12 @@ def _step5b(word: str) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=4096)
 def stem(word: str) -> str:
-    """Stem one lowercase word; inputs of length <= 2 pass through."""
+    """Stem one lowercase word; inputs of length <= 2 pass through.
+
+    Pure, so memoised: METEOR stems the same few hundred words over and over.
+    """
     word = word.lower()
     if len(word) <= 2:
         return word

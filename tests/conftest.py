@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from d2t_selftrain import (
     Direction,
@@ -14,6 +15,16 @@ from d2t_selftrain import (
     rule_based_handle,
     synthetic_dataset,
 )
+
+# Model-output-like linear strings: free text over the separator characters,
+# tabs and letters, or segments of two or three fields joined at the
+# separators, so that either variant's parse may keep or drop any mix of
+# segments and win, lose or tie against the other.
+_LINEAR_ALPHABET = " :|\tab"
+_linear_fields = st.sampled_from(["a", "b", "ab", "a b"]) | st.text(alphabet=_LINEAR_ALPHABET, max_size=3)
+linear_texts = st.text(alphabet=_LINEAR_ALPHABET, max_size=30) | st.lists(
+    st.lists(_linear_fields, min_size=2, max_size=3).map(" : ".join), max_size=5
+).map(" | ".join)
 
 # Golden linearization pair 1: tripleset source string, byte-exact.
 DART_SOURCE = (

@@ -2,16 +2,21 @@
 
 import json
 import random
+import select
 import socket
+import socketserver
+import struct
 import sys
+import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_record_set
+from conftest import linear_texts, random_record_set
 from d2t_selftrain import (
     Backend,
     CheckpointAction,
+    DelinearizeError,
     Direction,
     GatewayError,
     ModelHandle,
@@ -34,7 +39,14 @@ from d2t_selftrain import (
     train_batch,
 )
 from d2t_selftrain import gateway
-from d2t_selftrain.gateway import _TOKEN, _find_bounded, infer_record_set
+from d2t_selftrain.gateway import (
+    MAX_LEN,
+    MIN_LEN,
+    _TOKEN,
+    RemoteServable,
+    _find_bounded,
+    infer_record_set,
+)
 
 
 # ------------------------------------------------------------ rule models
@@ -138,6 +150,28 @@ def test_infer_record_set_prefers_cleaner_parse():
     assert infer_record_set("gibberish") is None
 
 
+def _both_parses_infer_record_set(text):
+    """Verbatim copy of the inference that always tried both variants."""
+    best = None
+    for kind in (RecordKind.TRIPLESET, RecordKind.MR_SET):
+        try:
+            res = delinearize(text, kind)
+        except DelinearizeError:
+            continue
+        if best is None or res.dropped < best.dropped:
+            best = res
+    return None if best is None else best.record_set
+
+
+@settings(max_examples=500)
+@given(linear_texts)
+@example("a : b : c | d : e")  # one drop each: the tie goes to tripleset
+@example("a : b | b : a | a : b : a")  # MR set drops fewer
+@example("a : b : c\t|\td : e : f")
+def test_infer_record_set_matches_both_parses(text):
+    assert infer_record_set(text) == _both_parses_infer_record_set(text)
+
+
 # ------------------------------------------------ token index vs full scan
 
 
@@ -186,13 +220,23 @@ _values = st.builds(
 )
 
 
+# Multi-run values over a few runs: most values share runs with many others
+# and differ in the rarest one, as "amber abbey 7" and "amber abbey 12" do.
+_SHARED_RUNS = ["amber", "abbey", "Amber", "7", "12", "ß", "ss"]
+_shared_run_values = st.builds(
+    lambda runs, joiner: joiner.join(runs),
+    st.lists(st.sampled_from(_SHARED_RUNS), min_size=1, max_size=4),
+    st.sampled_from([" ", "-", ". ", "_"]),
+)
+
+
 @st.composite
-def _catalogs(draw):
+def _catalogs(draw, values=_values):
     kind = draw(st.sampled_from(list(RecordKind)))
     if kind is RecordKind.TRIPLESET:
-        record = st.builds(Triple, _values, st.sampled_from(_PREDICATES), _values)
+        record = st.builds(Triple, values, st.sampled_from(_PREDICATES), values)
     else:
-        record = st.builds(Mr, st.sampled_from(_MR_KEYS), _values)
+        record = st.builds(Mr, st.sampled_from(_MR_KEYS), values)
     sets = draw(st.lists(st.lists(record, min_size=1, max_size=3), min_size=1, max_size=8))
     return [RecordSet(tuple(records), kind) for records in sets]
 
@@ -203,20 +247,30 @@ def _mention(r) -> str:
     return f"{r.key.replace('_', ' ')} {r.value}"
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_rule_t2d_index_matches_full_scan(data):
-    catalog = data.draw(_catalogs())
+def _check_index_against_scan(data, values, atoms):
+    catalog = data.draw(_catalogs(values))
     t2d = RuleBasedT2D(catalog)
     fields = sorted({f for rs in catalog for r in rs.records for f in r.fields})
     mentions = [_mention(r) for rs in catalog for r in rs.records]
-    words = mentions + fields + [f.replace("_", " ") for f in fields] + _ATOMS
+    words = mentions + fields + [f.replace("_", " ") for f in fields] + atoms
     piece = st.builds(
         lambda w, case: case(w), st.sampled_from(words), st.sampled_from([str, str.upper, str.lower])
     )
     parts = data.draw(st.lists(st.tuples(piece, st.sampled_from(_JOINERS)), max_size=10))
     text = "".join(w + j for w, j in parts)
     assert t2d.generate(text) == _scan_generate(t2d, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rule_t2d_index_matches_full_scan(data):
+    _check_index_against_scan(data, _values, _ATOMS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rule_t2d_index_matches_full_scan_with_shared_runs(data):
+    _check_index_against_scan(data, _shared_run_values, _SHARED_RUNS)
 
 
 def test_rule_t2d_index_matches_full_scan_on_dart_like_catalog():
@@ -241,7 +295,8 @@ def test_token_pattern_is_isalnum_runs():
     assert [c for c in chars if bool(_TOKEN.fullmatch(c)) != c.isalnum()] == []
 
 
-def test_rule_t2d_cost_independent_of_catalog_size(monkeypatch):
+def _generate_counting_searches(monkeypatch, catalogs, text):
+    """Each catalog's output for `text` and its number of _find_bounded calls."""
     calls = 0
 
     def counting(*args):
@@ -250,6 +305,16 @@ def test_rule_t2d_cost_independent_of_catalog_size(monkeypatch):
         return _find_bounded(*args)
 
     monkeypatch.setattr(gateway, "_find_bounded", counting)
+    outputs, counts = [], []
+    for catalog in catalogs:
+        t2d = RuleBasedT2D(catalog)
+        calls = 0
+        outputs.append(t2d.generate(text))
+        counts.append(calls)
+    return outputs, counts
+
+
+def test_rule_t2d_cost_independent_of_catalog_size(monkeypatch):
     base = [
         RecordSet((Triple(f"Town {i}", "NEAR", f"River {i}"),), RecordKind.TRIPLESET)
         for i in range(10)
@@ -259,13 +324,25 @@ def test_rule_t2d_cost_independent_of_catalog_size(monkeypatch):
         for i in range(5000)
     ]
     text = "Town 3 near River 3. Town 7 near River 7."
-    outputs, counts = [], []
-    for catalog in (base, base + unrelated):
-        t2d = RuleBasedT2D(catalog)
-        calls = 0
-        outputs.append(t2d.generate(text))
-        counts.append(calls)
+    outputs, counts = _generate_counting_searches(monkeypatch, (base, base + unrelated), text)
     assert outputs == ["Town 3 : NEAR : River 3 | Town 7 : NEAR : River 7"] * 2
+    assert counts[0] == counts[1]
+
+
+def test_rule_t2d_cost_independent_of_values_sharing_runs(monkeypatch):
+    # every added value shares "amber" and "abbey" with the text's subject;
+    # only its rarest run, the number, can make it a candidate
+    base = [
+        RecordSet((Triple(f"Amber Abbey {i}", "LOCATED_IN", "Tallinn"),), RecordKind.TRIPLESET)
+        for i in range(10)
+    ]
+    sharing = [
+        RecordSet((Triple(f"Amber Abbey {k}", "LOCATED_IN", "Ravenna"),), RecordKind.TRIPLESET)
+        for k in range(10, 5010)
+    ]
+    text = "Visitors are often surprised that the Amber Abbey 7 is located in Tallinn."
+    outputs, counts = _generate_counting_searches(monkeypatch, (base, base + sharing), text)
+    assert outputs == ["Amber Abbey 7 : LOCATED_IN : Tallinn"] * 2
     assert counts[0] == counts[1]
 
 
@@ -493,3 +570,103 @@ def test_wire_bad_payload_shapes(echo_server):
         ],
     )
     assert [r["ok"] for r in replies] == [False, False, False]
+
+
+# ------------------------------------------------------------ transport faults
+
+
+class _ScriptedServer:
+    """Mock model server that answers its n-th request as `script[n]` says:
+    "ok" echoes the inputs, "refuse" answers ok false, "stall" never answers,
+    "eof" closes the connection, "garbage" sends a non-JSON line and
+    "wrong-id" answers under another id. Records (connection, id) per request.
+    """
+
+    def __init__(self, script):
+        outer = self
+        self.script = list(script)
+        self.requests = []
+        self.release = threading.Event()
+        self._connections = 0
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                conn = outer._connections
+                outer._connections += 1
+                for raw in self.rfile:
+                    req = json.loads(raw)
+                    outer.requests.append((conn, req["id"]))
+                    action = outer.script.pop(0)
+                    if action == "stall":
+                        outer.release.wait(10)
+                        return
+                    if action == "eof":
+                        return
+                    if action == "garbage":
+                        self.wfile.write(b"not json\n")
+                        continue
+                    rid = req["id"] + 1 if action == "wrong-id" else req["id"]
+                    reply = {"id": rid, "ok": action != "refuse", "outputs": req.get("inputs")}
+                    self.wfile.write((json.dumps(reply) + "\n").encode())
+
+        self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        self._server.daemon_threads = True
+        threading.Thread(target=self._server.serve_forever, daemon=True).start()
+        self.endpoint = "%s:%d" % self._server.server_address[:2]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.release.set()
+        self._server.shutdown()
+        self._server.server_close()
+
+
+@pytest.mark.parametrize("fault", ["stall", "eof", "garbage", "wrong-id"])
+def test_remote_servable_reconnects_after_transport_fault(monkeypatch, fault):
+    monkeypatch.setattr(gateway, "_REQUEST_TIMEOUT", 0.5)
+    with _ScriptedServer([fault, "ok"]) as srv:
+        remote = RemoteServable(srv.endpoint)
+        try:
+            with pytest.raises(GatewayError):
+                remote.generate(["first"], MAX_LEN, MIN_LEN)
+            assert remote.generate(["second"], MAX_LEN, MIN_LEN) == ["second"]
+        finally:
+            remote.close()
+    # the failed connection was dropped, and the new one counts ids from 1
+    assert srv.requests == [(0, 1), (1, 1)]
+
+
+def test_remote_servable_keeps_connection_after_refusal():
+    with _ScriptedServer(["refuse", "ok"]) as srv:
+        remote = RemoteServable(srv.endpoint)
+        try:
+            with pytest.raises(GatewayError, match="server refused"):
+                remote.generate(["first"], MAX_LEN, MIN_LEN)
+            assert remote.generate(["second"], MAX_LEN, MIN_LEN) == ["second"]
+        finally:
+            remote.close()
+    assert srv.requests == [(0, 1), (0, 2)]
+
+
+def test_server_ends_reset_connection_quietly(capfd, echo_server):
+    ended = threading.Event()
+    shutdown_request = echo_server._server.shutdown_request
+
+    def shutdown_and_signal(request):
+        shutdown_request(request)
+        ended.set()
+
+    echo_server._server.shutdown_request = shutdown_and_signal
+    host, port = echo_server.endpoint.rsplit(":", 1)
+    sock = socket.create_connection((host, int(port)), timeout=10)
+    sock.sendall(json.dumps({"id": 1, "cmd": "save", "tag": "t"}).encode() + b"\n")
+    assert select.select([sock], [], [], 10)[0]  # the reply arrived, unread
+    # close with a reset: the server's next read fails with ECONNRESET
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+    assert ended.wait(10)
+    (resp,) = _raw_roundtrip(echo_server.endpoint, [json.dumps({"id": 1, "cmd": "load", "tag": "t"})])
+    assert resp == {"id": 1, "ok": True}
+    assert capfd.readouterr().err == ""

@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import DART_SOURCE, E2E_SOURCE, random_record_set
+from conftest import DART_SOURCE, E2E_SOURCE, linear_texts, random_record_set
 from d2t_selftrain import (
     DelinearizeError,
+    DelinearizeResult,
     LinearizationError,
     Mr,
     RecordFieldError,
@@ -19,6 +20,7 @@ from d2t_selftrain import (
     linearize,
     render_records,
 )
+from d2t_selftrain.records import FIELD_SEP, RECORD_SEP, normalize_text
 
 
 def test_tripleset_golden_string(dart_records):
@@ -179,3 +181,46 @@ def test_round_trip_property_separator_characters(rows):
     out = delinearize(linearize(rs), rs.kind)
     assert out.record_set == rs
     assert out.dropped == 0
+
+
+def _renormalising_delinearize(t, kind):
+    """Verbatim copy of the parser that normalised every field again."""
+    n_fields = 3 if kind is RecordKind.TRIPLESET else 2
+    make = Triple if kind is RecordKind.TRIPLESET else Mr
+    records = []
+    dropped = 0
+    text = normalize_text(t)
+    segments = text.split(RECORD_SEP) if text else []
+    for seg in segments:
+        fields = [normalize_text(f) for f in seg.split(FIELD_SEP)]
+        if len(fields) != n_fields or not all(fields):
+            dropped += 1
+            continue
+        try:
+            records.append(make(*fields))
+        except RecordFieldError:
+            dropped += 1
+    if not records:
+        raise DelinearizeError(
+            f"no parseable {kind.value} segment in {t!r} ({dropped} dropped)",
+            dropped=dropped,
+        )
+    return DelinearizeResult(RecordSet(tuple(records), kind), dropped)
+
+
+def _outcome(parse, text, kind):
+    try:
+        return parse(text, kind)
+    except DelinearizeError as exc:
+        return ("error", str(exc), exc.dropped)
+
+
+@settings(max_examples=500)
+@given(linear_texts, st.sampled_from(list(RecordKind)))
+@example("a : b : c |  d\t:\te : f", RecordKind.TRIPLESET)
+@example(" a :  b | : c | a : b : c ", RecordKind.MR_SET)
+@example("\t|\t", RecordKind.TRIPLESET)
+def test_delinearize_matches_renormalising_parser(text, kind):
+    # segments of normalised text split at space-edged separators are
+    # normalised already, so the fields need no second pass
+    assert _outcome(delinearize, text, kind) == _outcome(_renormalising_delinearize, text, kind)

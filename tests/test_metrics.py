@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import unicodedata
 from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
@@ -58,6 +59,13 @@ def test_tokenize_casefolds_and_collapses():
 
 
 # ---------------------------------------------------------------- BLEU
+
+
+def test_alphanumeric_characters_are_never_punctuation():
+    # tokenize keeps a chunk whole when both its ends are alphanumeric; that
+    # is exact only if no alphanumeric character is punctuation
+    chars = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in chars if c.isalnum() and unicodedata.category(c).startswith("P")] == []
 
 
 def test_bleu_perfect_match():

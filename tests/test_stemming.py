@@ -47,3 +47,18 @@ def test_stem_unifies_inflections():
     assert stem("cats") == stem("cat")
     assert stem("pony") == stem("ponies")
     assert stem("electricity") == stem("electrical")
+
+
+def test_memoised_stem_matches_uncached():
+    uncached = stem.__wrapped__
+    words = list(CASES) + list(CASES.values()) + ["at", "a", "", "Cats", "PONIES"]
+    for word in words + words:  # the second pass reads the cache
+        assert stem(word) == uncached(word)
+
+
+def test_stem_cache_is_bounded():
+    for i in range(5000):
+        stem(f"walking{i}")
+    info = stem.cache_info()
+    assert info.maxsize == 4096
+    assert info.currsize <= 4096
