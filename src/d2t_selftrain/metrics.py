@@ -227,15 +227,17 @@ def meteor(candidate: str, references: Sequence[str]) -> float:
 
 
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    """Bit-parallel LCS length (Allison & Dix, 1986). After a prefix of `a`,
+    bit k of v is 0 exactly when its LCS with b[:k + 1] exceeds that with
+    b[:k], so the zero bits count the LCS with all of b."""
+    m = len(b)
+    mask = (1 << m) - 1
+    peq = _match_masks(b)
+    v = mask
+    for tok in a:
+        u = v & peq.get(tok, 0)
+        v = ((v + u) | (v - u)) & mask
+    return m - v.bit_count()
 
 
 def rouge_l(candidate: str, references: Sequence[str], beta_sq: float = 1.2) -> float:
@@ -339,14 +341,6 @@ def _advance(
     return vp, vn, score
 
 
-def _ref_block_positions(rt: Sequence[str]) -> dict[Ngram, list[int]]:
-    positions: dict[Ngram, list[int]] = {}
-    for length in range(1, len(rt) + 1):
-        for start in range(len(rt) - length + 1):
-            positions.setdefault(tuple(rt[start : start + length]), []).append(start)
-    return positions
-
-
 def _ter_edits(hyp: Sequence[str], rt: Sequence[str]) -> int:
     """Greedy shift search: repeatedly apply the block shift that most
     reduces word edit distance (first such shift on ties), one edit each,
@@ -354,31 +348,45 @@ def _ter_edits(hyp: Sequence[str], rt: Sequence[str]) -> int:
 
     Each step records the distance state after every prefix of `hyp`; a
     shifted candidate shares `hyp[:min(i, j)]` with it, so only its tail is
-    read. A candidate already scored this step can only tie, so it is skipped."""
-    ref_blocks = _ref_block_positions(rt)
+    read. A candidate already scored this step can only tie, so it is skipped.
+
+    Only work that can change the result is done. The distance is at least
+    max(n, m) minus the LCS, the LCS is at most the bag-of-words overlap, and
+    a shift keeps the bag, so no candidate gets below `floor`: the search
+    ends once the distance or the best candidate reaches it. Moving k tokens
+    past d others changes the distance by at most 2 * min(k, d), so a
+    candidate that cannot beat the best gain is not scored. The reference
+    starts of a block are those of its one-token-shorter prefix that the
+    next token extends, in ascending order."""
     peq = _match_masks(rt)
     m = len(rt)
     hyp = tuple(hyp)
+    occurrences: dict[str, list[int]] = {}
+    for k, tok in enumerate(rt):
+        occurrences.setdefault(tok, []).append(k)
+    overlap = sum(min(c, len(occurrences.get(t, ()))) for t, c in Counter(hyp).items())
+    floor = max(len(hyp), m) - overlap
     shifts = 0
     while True:
         prefix = [((1 << m) - 1, 0, m)]
         for tok in hyp:
             prefix.append(_advance(peq, m, prefix[-1], (tok,)))
         dist = prefix[-1][2]
-        if dist == 0:
+        if dist <= floor:
             break
         best_gain = 0
         best_hyp: Optional[Ngram] = None
         seen = {hyp}
         for i in range(len(hyp)):
-            for length in range(1, len(hyp) - i + 1):
+            targets = occurrences.get(hyp[i], [])
+            length = 1
+            while targets and dist - best_gain > floor:
                 block = hyp[i : i + length]
-                targets = ref_blocks.get(block)
-                if not targets:
-                    break  # no longer block from i occurs in the reference
                 removed = hyp[:i] + hyp[i + length :]
                 for pos in targets:
                     j = min(pos, len(removed))
+                    if 2 * min(length, abs(i - j)) <= best_gain:
+                        continue
                     shifted = removed[:j] + block + removed[j:]
                     if shifted in seen:
                         continue
@@ -388,6 +396,15 @@ def _ter_edits(hyp: Sequence[str], rt: Sequence[str]) -> int:
                     if dist - d > best_gain:
                         best_gain = dist - d
                         best_hyp = shifted
+                        if d == floor:
+                            break
+                if i + length == len(hyp):
+                    break
+                nxt = hyp[i + length]
+                targets = [s for s in targets if s + length < m and rt[s + length] == nxt]
+                length += 1
+            if dist - best_gain == floor:
+                break  # a later candidate could at best tie
         if best_hyp is None:
             break
         hyp = best_hyp

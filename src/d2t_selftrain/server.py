@@ -105,11 +105,17 @@ class _Handler(socketserver.StreamRequestHandler):
         raise ValueError(f"unknown cmd {cmd!r}")
 
 
+# Seconds between the serving loop's checks for a stop request: stop() waits
+# up to this long.
+_POLL_INTERVAL = 0.02
+
+
 class ModelServer:
     """Threaded TCP server; use as a context manager in tests and tools.
 
     Binds immediately (port 0 picks a free port); `endpoint` gives the
-    address a ModelHandle can connect to.
+    address a ModelHandle can connect to. `stop` closes the listening socket
+    whether or not `start` ran, and a second `stop` does nothing more.
     """
 
     def __init__(self, servable, host: str = "127.0.0.1", port: int = 0):
@@ -125,16 +131,19 @@ class ModelServer:
         return f"{host}:{port}"
 
     def start(self) -> "ModelServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(_POLL_INTERVAL,), daemon=True
+        )
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
         if self._thread is not None:
+            # shutdown() waits for serve_forever, so only a started server may call it
+            self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._server.server_close()
 
     def __enter__(self) -> "ModelServer":
         return self.start()

@@ -170,6 +170,17 @@ class TestEvalCommand:
         assert report["osf"]["f1"] == 100.0
         assert report["bleu"] == 100.0
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e", "\x0b", "\x0c"])
+    def test_lines_break_at_newline_only(self, tmp_path, capsys, sep):
+        # splitlines() would cut hyp line 1 and refs line 2 in two, leaving
+        # three misaligned items; the tokenizer reads `sep` as a space
+        hyp = self._write(tmp_path / "hyp.txt", [f"the cat{sep}sat down", "a dog ran over the hill"])
+        refs = self._write(tmp_path / "refs.txt", ["the cat sat down", f"a dog ran{sep}over the hill"])
+        assert main(["eval", "--hyp", hyp, "--refs", refs]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["bleu"] == 1.0
+        assert report["ter"] == 0.0
+
     def test_reconstructions_require_sources(self, tmp_path, capsys):
         hyp = self._write(tmp_path / "hyp.txt", ["x"])
         refs = self._write(tmp_path / "refs.txt", ["x"])

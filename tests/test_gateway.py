@@ -8,6 +8,7 @@ import socketserver
 import struct
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -446,6 +447,33 @@ def test_external_shutdown(echo_server):
     h.servable.shutdown()  # must not raise; server thread stops itself
 
 
+def _timed_stop(server: ModelServer) -> float:
+    """Seconds one stop() takes; a stop that hangs fails the test after 2 s."""
+    t0 = time.perf_counter()
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=2)
+    assert not stopper.is_alive(), "stop() hung"
+    return time.perf_counter() - t0
+
+
+def test_server_stop_is_prompt_and_repeatable():
+    server = ModelServer(RuleServable(RuleBasedD2T())).start()
+    (resp,) = _raw_roundtrip(server.endpoint, [json.dumps({"id": 1, "cmd": "save", "tag": "t"})])
+    assert resp == {"id": 1, "ok": True}
+    assert _timed_stop(server) <= 0.1
+    host, port = server.endpoint.rsplit(":", 1)
+    with pytest.raises(OSError):
+        socket.create_connection((host, int(port)), timeout=1).close()
+    assert _timed_stop(server) <= 0.1
+
+
+def test_server_stop_without_start_returns():
+    server = ModelServer(RuleServable(RuleBasedD2T()))
+    assert _timed_stop(server) <= 0.1
+    assert _timed_stop(server) <= 0.1
+
+
 class _MisbehavingServable(RuleServable):
     """Returns one output too few to exercise the client-side length check."""
 
@@ -611,7 +639,8 @@ class _ScriptedServer:
 
         self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
         self._server.daemon_threads = True
-        threading.Thread(target=self._server.serve_forever, daemon=True).start()
+        # a short poll keeps shutdown() from waiting out the 0.5 s default
+        threading.Thread(target=self._server.serve_forever, args=(0.02,), daemon=True).start()
         self.endpoint = "%s:%d" % self._server.server_address[:2]
 
     def __enter__(self):

@@ -35,10 +35,15 @@ from d2t_selftrain import (
     ter,
     tokenize,
 )
-from d2t_selftrain.metrics import _advance, _match_masks, _ref_block_positions, _ter_edits
+from d2t_selftrain import metrics
+from d2t_selftrain.metrics import Ngram, _advance, _lcs_len, _match_masks, _ter_edits
 from d2t_selftrain.records import record_key
 
 APPROX = 1e-9
+
+
+def _tokens(alphabet: str, min_size: int, max_size: int):
+    return st.lists(st.sampled_from(list(alphabet)), min_size=min_size, max_size=max_size)
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -192,6 +197,35 @@ def test_rouge_requires_references():
         rouge_l("a", [])
 
 
+# The O(n*m) dynamic program that the bit-parallel LCS replaced, kept
+# verbatim as the reference it must equal.
+
+
+def _dp_lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=_tokens("abcd", 0, 100),
+    b=st.one_of(_tokens("abcde", 0, 20), _tokens("abcde", 65, 150)),
+)
+@example(a=[], b=["a"])
+@example(a=["a"], b=[])
+@example(a=list("ab" * 40), b=list("ba" * 40))
+def test_bit_parallel_lcs_matches_dp(a, b):
+    assert _lcs_len(a, b) == _dp_lcs_len(a, b)
+    assert _lcs_len(b, a) == _dp_lcs_len(a, b)
+
+
 # ---------------------------------------------------------------- CIDEr
 
 
@@ -320,6 +354,14 @@ def test_ter_shift_never_hurts():
 # verbatim as the reference the new search must equal.
 
 
+def _ref_block_positions(rt: Sequence[str]) -> dict[Ngram, list[int]]:
+    positions: dict[Ngram, list[int]] = {}
+    for length in range(1, len(rt) + 1):
+        for start in range(len(rt) - length + 1):
+            positions.setdefault(tuple(rt[start : start + length]), []).append(start)
+    return positions
+
+
 def _dp_edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
     if not a:
         return len(b)
@@ -368,8 +410,56 @@ def _dp_ter_edits(hyp: list[str], rt: Sequence[str]) -> int:
     return shifts + dist
 
 
-def _tokens(alphabet: str, min_size: int, max_size: int):
-    return st.lists(st.sampled_from(list(alphabet)), min_size=min_size, max_size=max_size)
+# The bit-parallel search before it learnt the bag-of-words floor, the gain
+# bound and lazy reference blocks, kept verbatim as a second reference.
+
+
+def _full_scan_ter_edits(hyp: Sequence[str], rt: Sequence[str]) -> int:
+    """Greedy shift search: repeatedly apply the block shift that most
+    reduces word edit distance (first such shift on ties), one edit each,
+    then add the residual edit distance. `rt` must be non-empty.
+
+    Each step records the distance state after every prefix of `hyp`; a
+    shifted candidate shares `hyp[:min(i, j)]` with it, so only its tail is
+    read. A candidate already scored this step can only tie, so it is skipped."""
+    ref_blocks = _ref_block_positions(rt)
+    peq = _match_masks(rt)
+    m = len(rt)
+    hyp = tuple(hyp)
+    shifts = 0
+    while True:
+        prefix = [((1 << m) - 1, 0, m)]
+        for tok in hyp:
+            prefix.append(_advance(peq, m, prefix[-1], (tok,)))
+        dist = prefix[-1][2]
+        if dist == 0:
+            break
+        best_gain = 0
+        best_hyp: Optional[Ngram] = None
+        seen = {hyp}
+        for i in range(len(hyp)):
+            for length in range(1, len(hyp) - i + 1):
+                block = hyp[i : i + length]
+                targets = ref_blocks.get(block)
+                if not targets:
+                    break  # no longer block from i occurs in the reference
+                removed = hyp[:i] + hyp[i + length :]
+                for pos in targets:
+                    j = min(pos, len(removed))
+                    shifted = removed[:j] + block + removed[j:]
+                    if shifted in seen:
+                        continue
+                    seen.add(shifted)
+                    p = min(i, j)
+                    d = _advance(peq, m, prefix[p], shifted[p:])[2]
+                    if dist - d > best_gain:
+                        best_gain = dist - d
+                        best_hyp = shifted
+        if best_hyp is None:
+            break
+        hyp = best_hyp
+        shifts += 1
+    return shifts + dist
 
 
 @settings(max_examples=500, deadline=None)
@@ -392,6 +482,49 @@ def test_bit_parallel_distance_matches_dp(hyp, ref):
     m = len(ref)
     start = ((1 << m) - 1, 0, m)
     assert _advance(_match_masks(ref), m, start, hyp)[2] == _dp_edit_distance(hyp, ref)
+
+
+def _token_pairs(max_hyp: int, ref_sizes: tuple[int, int]):
+    """(hyp, ref) over an alphabet of 1 to 6 tokens: the small ones make ties
+    between shifts and repeated blocks the norm."""
+    return st.sampled_from(["a", "ab", "abc", "abcdef"]).flatmap(
+        lambda abc: st.tuples(_tokens(abc, 0, max_hyp), _tokens(abc, *ref_sizes))
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pair=_token_pairs(12, (1, 12)))
+@example(pair=("a a b c".split(), "c b a a".split()))
+@example(pair=("b a".split(), "a b c".split()))
+def test_ter_edits_match_full_scan_search(pair):
+    hyp, ref = pair
+    assert _ter_edits(hyp, ref) == _full_scan_ter_edits(hyp, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_token_pairs(24, (65, 90)))
+def test_ter_edits_match_full_scan_search_past_64_reference_tokens(pair):
+    hyp, ref = pair
+    assert _ter_edits(hyp, ref) == _full_scan_ter_edits(hyp, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref=_tokens("abcd", 1, 80), keep=st.lists(st.booleans(), min_size=80, max_size=80))
+@example(ref="the cat sat on the mat".split(), keep=[False, True, False, True, True, True] + [False] * 74)
+def test_ter_scores_no_candidate_for_a_subsequence_of_the_reference(ref, keep):
+    # a subsequence is m - n insertions away, which the bag-of-words floor
+    # already proves optimal: only the prefix pass over hyp reads tokens
+    hyp = [tok for tok, kept in zip(ref, keep) if kept]
+    calls = []
+
+    def counting_advance(peq, m, state, tokens):
+        calls.append(len(tokens))
+        return _advance(peq, m, state, tokens)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_advance", counting_advance)
+        assert _ter_edits(hyp, ref) == len(ref) - len(hyp)
+    assert calls == [1] * len(hyp)
 
 
 def test_ter_ties_keep_the_first_shift():
