@@ -280,6 +280,15 @@ class RuleServable:
 
 _REQUEST_TIMEOUT = 600.0
 
+# Longest line either end of the wire protocol reads, newline included; a
+# longer one is refused and its connection dropped, so a peer that never
+# sends a newline cannot make the reader buffer without end. Each batch goes
+# out as one line, so the cap must hold a whole split: a train request costs
+# about 230 bytes per pair on the synthetic DART data, about 14 MB for every
+# pair of DART's 62,659-example train split, and the cap leaves room for
+# longer real texts.
+MAX_LINE_BYTES = 64 * 2**20
+
 
 def _parse_endpoint(endpoint: str) -> tuple[str, int]:
     host, sep, port = endpoint.rpartition(":")
@@ -294,9 +303,9 @@ class RemoteServable:
     The endpoint is validated at construction and the connection opened on
     the first request. One NDJSON connection: ids strictly increasing from 1,
     one request in flight. A transport or framing failure (socket error or
-    timeout, end of stream, malformed line, wrong id) closes the connection
-    and the next call opens a new one; a server's refusal (ok false) keeps
-    it. Nothing is retried.
+    timeout, end of stream, malformed or over-long line, wrong id) closes
+    the connection and the next call opens a new one; a server's refusal
+    (ok false) keeps it. Nothing is retried.
     """
 
     backend = Backend.EXTERNAL
@@ -311,7 +320,7 @@ class RemoteServable:
             self._sock = socket.create_connection(self._address, timeout=_REQUEST_TIMEOUT)
         except OSError as exc:
             raise GatewayError(f"cannot connect to model server at {self.endpoint}: {exc}") from exc
-        self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
+        self._reader = self._sock.makefile("rb")
         self._writer = self._sock.makefile("w", encoding="utf-8", newline="\n")
         self._next_id = 1
 
@@ -337,16 +346,19 @@ class RemoteServable:
         try:
             self._writer.write(json.dumps({"id": rid, "cmd": cmd, **payload}, ensure_ascii=False) + "\n")
             self._writer.flush()
-            line = self._reader.readline()
+            line = self._reader.readline(MAX_LINE_BYTES + 1)
         except OSError as exc:
             raise GatewayError(f"connection lost during {cmd!r}: {exc}") from exc
         if not line:
             raise GatewayError(f"server closed the connection during {cmd!r}")
+        if len(line) > MAX_LINE_BYTES:
+            raise GatewayError(f"response line for {cmd!r} is longer than {MAX_LINE_BYTES} bytes")
         try:
-            resp = json.loads(line)
-        except json.JSONDecodeError as exc:
+            resp = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise GatewayError(f"malformed response line for {cmd!r}: {line!r}") from exc
-        if not isinstance(resp, dict) or resp.get("id") != rid:
+        # type, not isinstance: JSON true is a bool, and True == 1
+        if not isinstance(resp, dict) or type(resp.get("id")) is not int or resp["id"] != rid:
             raise GatewayError(
                 f"response id mismatch for {cmd!r}: sent {rid}, got {resp.get('id') if isinstance(resp, dict) else resp!r}"
             )

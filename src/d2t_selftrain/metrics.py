@@ -18,11 +18,11 @@ import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import MetricError, VariantMismatchError
 from .linearize import extract_source_values
-from .records import RecordSet, normalize_text, record_key, value_in_text
+from .records import RecordSet, contains_folded, fold, normalize_text, record_key
 from .stemming import stem
 
 Ngram = tuple[str, ...]
@@ -59,8 +59,32 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> list[Ngram]:
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+def _ngrams(tokens: Sequence[str], n: int) -> Iterator[Ngram]:
+    return zip(*(tokens[k:] for k in range(n)))
+
+
+class _Text(str):
+    """A text analysed once: its tokens at once, and the counts of its
+    n-grams of each order, in first-occurrence order, on first use. Made per
+    call, so nothing outlives the call that analysed it."""
+
+    __slots__ = ("tokens", "_grams")
+
+    def __new__(cls, text: str) -> "_Text":
+        self = super().__new__(cls, text)
+        self.tokens = tuple(tokenize(text))
+        self._grams = {}
+        return self
+
+    def grams(self, n: int) -> Counter:
+        counts = self._grams.get(n)
+        if counts is None:
+            counts = self._grams[n] = Counter(_ngrams(self.tokens, n))
+        return counts
+
+
+def _analysed(text: str) -> _Text:
+    return text if isinstance(text, _Text) else _Text(text)
 
 
 def _check_aligned(candidates: Sequence[str], references: Sequence[Sequence[str]]) -> None:
@@ -74,10 +98,14 @@ def _check_aligned(candidates: Sequence[str], references: Sequence[Sequence[str]
         raise MetricError("every item needs at least one reference")
 
 
-def _max_ref_counts(ref_tokens: Sequence[Sequence[str]], n: int) -> Counter:
+def _max_ref_counts(refs: Sequence[_Text], n: int) -> Counter:
+    """Per n-gram, its largest count in any one reference. A single
+    reference's own counts are returned, so the caller must not change them."""
+    if len(refs) == 1:
+        return refs[0].grams(n)
     out: Counter = Counter()
-    for rt in ref_tokens:
-        for gram, count in Counter(_ngrams(rt, n)).items():
+    for ref in refs:
+        for gram, count in ref.grams(n).items():
             if count > out[gram]:
                 out[gram] = count
     return out
@@ -101,17 +129,18 @@ def bleu(
     cand_len = 0
     ref_len = 0
     for cand, refs in zip(candidates, references):
-        ct = tokenize(cand)
-        rts = [tokenize(r) for r in refs]
-        cand_len += len(ct)
+        cand = _analysed(cand)
+        refs = [_analysed(r) for r in refs]
+        length = len(cand.tokens)
+        cand_len += length
         # closest reference length; ties favor the shorter
-        ref_len += min((abs(len(rt) - len(ct)), len(rt)) for rt in rts)[1]
+        ref_len += min((abs(len(r.tokens) - length), len(r.tokens)) for r in refs)[1]
         for n in range(1, max_n + 1):
-            grams = Counter(_ngrams(ct, n))
+            grams = cand.grams(n)
             totals[n - 1] += sum(grams.values())
             if not grams:
                 continue
-            limit = _max_ref_counts(rts, n)
+            limit = _max_ref_counts(refs, n)
             clipped[n - 1] += sum(min(c, limit[g]) for g, c in grams.items())
 
     precisions = []
@@ -148,32 +177,39 @@ def nist(
     _check_aligned(candidates, references)
     ref_counts: Counter = Counter()
     total_words = 0
-    ref_tokens = [[tokenize(r) for r in refs] for refs in references]
-    for rts in ref_tokens:
-        for rt in rts:
-            total_words += len(rt)
+    references = [[_analysed(r) for r in refs] for refs in references]
+    for refs in references:
+        for ref in refs:
+            total_words += len(ref.tokens)
             for n in range(1, max_n + 1):
-                ref_counts.update(_ngrams(rt, n))
+                ref_counts.update(ref.grams(n))
+
+    weights: dict[Ngram, float] = {}
 
     def info(gram: Ngram) -> float:
-        count = ref_counts[gram]
-        if count == 0:
-            return 0.0
-        parent = total_words if len(gram) == 1 else ref_counts[gram[:-1]]
-        return math.log2(parent / count) if parent else 0.0
+        weight = weights.get(gram)
+        if weight is None:
+            count = ref_counts[gram]
+            if count == 0:
+                weight = 0.0
+            else:
+                parent = total_words if len(gram) == 1 else ref_counts[gram[:-1]]
+                weight = math.log2(parent / count) if parent else 0.0
+            weights[gram] = weight
+        return weight
 
     numer = [0.0] * max_n
     denom = [0] * max_n
     cand_len = 0
     ref_len = 0.0
-    for cand, rts in zip(candidates, ref_tokens):
-        ct = tokenize(cand)
-        cand_len += len(ct)
-        ref_len += sum(len(rt) for rt in rts) / len(rts)
+    for cand, refs in zip(candidates, references):
+        cand = _analysed(cand)
+        cand_len += len(cand.tokens)
+        ref_len += sum(len(r.tokens) for r in refs) / len(refs)
         for n in range(1, max_n + 1):
-            grams = Counter(_ngrams(ct, n))
+            grams = cand.grams(n)
             denom[n - 1] += sum(grams.values())
-            limit = _max_ref_counts(rts, n)
+            limit = _max_ref_counts(refs, n)
             for gram, count in grams.items():
                 matched = min(count, limit[gram])
                 if matched:
@@ -222,8 +258,8 @@ def meteor(candidate: str, references: Sequence[str]) -> float:
     """Original-formulation METEOR with exact and stem modules; best reference."""
     if not references:
         raise MetricError("meteor needs at least one reference")
-    ct = tokenize(candidate)
-    return max(_meteor_single(ct, tokenize(r)) for r in references)
+    ct = _analysed(candidate).tokens
+    return max(_meteor_single(ct, _analysed(r).tokens) for r in references)
 
 
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
@@ -244,10 +280,10 @@ def rouge_l(candidate: str, references: Sequence[str], beta_sq: float = 1.2) -> 
     """LCS F-measure with recall-favoring beta^2 (1.2); best reference wins."""
     if not references:
         raise MetricError("rouge_l needs at least one reference")
-    ct = tokenize(candidate)
+    ct = _analysed(candidate).tokens
     best = 0.0
     for ref in references:
-        rt = tokenize(ref)
+        rt = _analysed(ref).tokens
         lcs = _lcs_len(ct, rt)
         if lcs == 0:
             continue
@@ -273,20 +309,25 @@ def cider(
     n_items = len(candidates)
     if n_items < 2:
         raise MetricError("cider needs >= 2 corpus items for a meaningful idf")
-    ref_tokens = [[tokenize(r) for r in refs] for refs in references]
+    references = [[_analysed(r) for r in refs] for refs in references]
     df: Counter = Counter()
-    for rts in ref_tokens:
+    for refs in references:
         seen: set[Ngram] = set()
-        for rt in rts:
+        for ref in refs:
             for n in range(1, max_n + 1):
-                seen.update(_ngrams(rt, n))
+                seen.update(ref.grams(n))
         df.update(seen)
 
-    def tfidf(tokens: Sequence[str], n: int) -> dict[Ngram, float]:
-        return {
-            gram: count * math.log(n_items / max(1, df[gram]))
-            for gram, count in Counter(_ngrams(tokens, n)).items()
-        }
+    idf: dict[Ngram, float] = {}
+
+    def tfidf(text: _Text, n: int) -> dict[Ngram, float]:
+        vec = {}
+        for gram, count in text.grams(n).items():
+            weight = idf.get(gram)
+            if weight is None:
+                weight = idf[gram] = math.log(n_items / max(1, df[gram]))
+            vec[gram] = count * weight
+        return vec
 
     def cosine(u: dict[Ngram, float], v: dict[Ngram, float]) -> float:
         # dict order, not set order: the sum must not depend on the hash seed
@@ -296,12 +337,12 @@ def cider(
         return dot / (nu * nv) if nu and nv else 0.0
 
     total = 0.0
-    for cand, rts in zip(candidates, ref_tokens):
-        ct = tokenize(cand)
+    for cand, refs in zip(candidates, references):
+        cand = _analysed(cand)
         item = 0.0
         for n in range(1, max_n + 1):
-            cv = tfidf(ct, n)
-            item += sum(cosine(cv, tfidf(rt, n)) for rt in rts) / len(rts)
+            cv = tfidf(cand, n)
+            item += sum(cosine(cv, tfidf(ref, n)) for ref in refs) / len(refs)
         total += 10.0 * item / max_n
     return total / n_items
 
@@ -416,10 +457,10 @@ def ter(candidate: str, references: Sequence[str]) -> float:
     """Translation edit rate: min over references of edits / reference length."""
     if not references:
         raise MetricError("ter needs at least one reference")
-    ct = tokenize(candidate)
+    ct = _analysed(candidate).tokens
     best = None
     for ref in references:
-        rt = tokenize(ref)
+        rt = _analysed(ref).tokens
         if not rt:
             raise MetricError("ter is undefined against an empty reference")
         rate = _ter_edits(ct, rt) / len(rt)
@@ -433,7 +474,8 @@ def epm(x: RecordSet, y: str) -> float:
     values = extract_source_values(x)
     if not values:
         return 0.0
-    return sum(1 for v in values if value_in_text(v, y)) / len(values)
+    text = fold(y)
+    return sum(1 for v in values if contains_folded(text, fold(v))) / len(values)
 
 
 @dataclass(frozen=True)
@@ -504,8 +546,19 @@ def evaluate_corpus(
     BLEU, NIST and CIDEr are corpus-level; METEOR, ROUGE-L and TER are means
     of per-item best-reference scores. EPM needs `sources`; OSF additionally
     needs `reconstructions` (items with a missing reconstruction score zero).
+    Each distinct text is analysed once and shared by every metric.
     """
     _check_aligned(candidates, references)
+    analysed: dict[str, _Text] = {}
+
+    def analyse(text: str) -> _Text:
+        out = analysed.get(text)
+        if out is None:
+            out = analysed[text] = _Text(text)
+        return out
+
+    candidates = [analyse(c) for c in candidates]
+    references = [[analyse(r) for r in refs] for refs in references]
     n = len(candidates)
     if sources is not None and len(sources) != n:
         raise MetricError("sources misaligned with candidates")

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .linearize import extract_source_values
-from .records import RecordSet, normalize_text, value_in_text
+from .records import RecordSet, contains_folded, fold, normalize_text
 
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
 
@@ -57,17 +57,15 @@ def optimize_target(x: RecordSet, y_prime: str) -> OptimizationOutcome:
     is returned verbatim with changed=False.
     """
     values = extract_source_values(x)
-    sentences = split_sentences(y_prime)
+    # values are distinct under case-folding, so each matches at most once
+    unmatched = {v: fold(v) for v in values}
     kept: list[str] = []
     matched: list[str] = []
-    matched_keys: set[str] = set()
-    for s in sentences:
-        for v in values:
-            k = v.casefold()
-            if k in matched_keys:
-                continue
-            if value_in_text(v, s):
-                matched_keys.add(k)
+    for s in split_sentences(y_prime):
+        text = fold(s)
+        for v, k in list(unmatched.items()):
+            if contains_folded(text, k):
+                del unmatched[v]
                 matched.append(v)
                 if s not in kept:
                     kept.append(s)

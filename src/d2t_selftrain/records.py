@@ -26,13 +26,24 @@ def normalize_text(t: str) -> str:
     return " ".join(t.split())
 
 
+def fold(t: str) -> str:
+    """The form value matching compares: whitespace-normalized, case-folded."""
+    return normalize_text(t).casefold()
+
+
+def contains_folded(text: str, value: str) -> bool:
+    """`value_in_text` for a text and a value already folded, so callers that
+    check many values against one text fold each only once."""
+    return bool(value) and value in text
+
+
 def value_in_text(value: str, text: str) -> bool:
     """Substring containment after whitespace normalization and case-folding.
 
-    Case-folded because model decoders freely re-case surface forms.
+    Case-folded because model decoders freely re-case surface forms. An empty
+    value never matches.
     """
-    v = normalize_text(value).casefold()
-    return bool(v) and v in normalize_text(text).casefold()
+    return contains_folded(fold(text), fold(value))
 
 
 def _clean_field(name: str, raw: str) -> str:

@@ -30,8 +30,9 @@ from .records import (
     Pair,
     RecordSet,
     SelfMemTuple,
+    contains_folded,
+    fold,
     normalize_text,
-    value_in_text,
 )
 
 
@@ -71,9 +72,11 @@ def _judge_candidate(
     x: RecordSet, y: str, y_cand: str, x_cand: Optional[RecordSet]
 ) -> tuple[Condition, ...]:
     failed = []
-    if not len(normalize_text(y_cand)) < len(normalize_text(y)):
+    candidate = normalize_text(y_cand)
+    if not len(candidate) < len(normalize_text(y)):
         failed.append(Condition.LEN_NOT_SHORTER)
-    if not all(value_in_text(v, y_cand) for v in extract_source_values(x)):
+    text = candidate.casefold()
+    if not all(contains_folded(text, fold(v)) for v in extract_source_values(x)):
         failed.append(Condition.MISSING_SOURCE_VALUE)
     # Subset check via reconstruction precision: 1.0 means every reconstructed
     # record matches a source record. An empty or missing reconstruction

@@ -7,8 +7,9 @@ of `gateway` re-exported here, wraps the deterministic rule-based baselines
 and answers train requests with a pseudo loss equal to the pair count. Real
 model servers only need to reproduce the same five commands.
 
-Protocol per connection: ids must be strictly increasing; any malformed line
-or protocol violation is answered with ok=false and the connection dropped.
+Protocol per connection: ids must be strictly increasing integers and lines
+at most `gateway.MAX_LINE_BYTES` long; any malformed or over-long line or
+protocol violation is answered with ok=false and the connection dropped.
 A read or write that fails (the client reset or went away) ends the
 connection quietly.
 """
@@ -20,6 +21,7 @@ import socketserver
 import threading
 from typing import Optional
 
+from . import gateway
 from .gateway import MAX_LEN, MIN_LEN
 from .gateway import RuleServable  # noqa: F401 -- re-exported with the server
 
@@ -39,8 +41,17 @@ class _Handler(socketserver.StreamRequestHandler):
         servable = self.server.servable
         lock = self.server.model_lock
         while True:
-            raw = self.rfile.readline()
+            raw = self.rfile.readline(gateway.MAX_LINE_BYTES + 1)
             if not raw:
+                return
+            if len(raw) > gateway.MAX_LINE_BYTES:
+                self._reply(
+                    {
+                        "id": last_id,
+                        "ok": False,
+                        "error": f"request line longer than {gateway.MAX_LINE_BYTES} bytes",
+                    }
+                )
                 return
             try:
                 req = json.loads(raw.decode("utf-8"))
@@ -48,10 +59,12 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._reply({"id": last_id, "ok": False, "error": "malformed request line"})
                 return
             rid = req.get("id") if isinstance(req, dict) else None
-            if not isinstance(rid, int) or rid <= last_id:
+            # type, not isinstance: JSON true is a bool, and bools are ints
+            is_int = type(rid) is int
+            if not is_int or rid <= last_id:
                 self._reply(
                     {
-                        "id": rid if isinstance(rid, int) else last_id,
+                        "id": rid if is_int else last_id,
                         "ok": False,
                         "error": f"ids must be strictly increasing integers, got {rid!r} after {last_id}",
                     }

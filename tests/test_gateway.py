@@ -588,6 +588,28 @@ def test_wire_unknown_command_keeps_connection(echo_server):
     assert replies[1]["ok"] is True
 
 
+def test_wire_rejects_boolean_ids(echo_server):
+    # JSON true is not an integer id, though Python's True == 1
+    (resp,) = _raw_roundtrip(echo_server.endpoint, [json.dumps({"id": True, "cmd": "save", "tag": "a"})])
+    assert resp["ok"] is False
+    assert resp["id"] == 0 and type(resp["id"]) is int
+    assert "integers" in resp["error"]
+
+
+def test_wire_caps_request_lines(monkeypatch, echo_server):
+    line = (json.dumps({"id": 1, "cmd": "save", "tag": "t"}) + "\n").encode()
+    monkeypatch.setattr(gateway, "MAX_LINE_BYTES", len(line))
+    host, port = echo_server.endpoint.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock, sock.makefile("rb") as f:
+        sock.sendall(line)  # exactly at the cap: served
+        assert json.loads(f.readline()) == {"id": 1, "ok": True}
+        sock.sendall(b"x" * (len(line) + 1))  # one byte over, no newline
+        resp = json.loads(f.readline())
+        assert resp["ok"] is False
+        assert f"longer than {len(line)} bytes" in resp["error"]
+        assert f.readline() == b""  # and the connection is dropped
+
+
 def test_wire_bad_payload_shapes(echo_server):
     replies = _raw_roundtrip(
         echo_server.endpoint,
@@ -606,8 +628,10 @@ def test_wire_bad_payload_shapes(echo_server):
 class _ScriptedServer:
     """Mock model server that answers its n-th request as `script[n]` says:
     "ok" echoes the inputs, "refuse" answers ok false, "stall" never answers,
-    "eof" closes the connection, "garbage" sends a non-JSON line and
-    "wrong-id" answers under another id. Records (connection, id) per request.
+    "eof" closes the connection, "garbage" sends a non-JSON line, "wrong-id"
+    answers under another id, "bool-id" under the id true, and "long" sends
+    one byte more than `gateway.MAX_LINE_BYTES` with no newline and stalls.
+    Records (connection, id) per request.
     """
 
     def __init__(self, script):
@@ -633,7 +657,11 @@ class _ScriptedServer:
                     if action == "garbage":
                         self.wfile.write(b"not json\n")
                         continue
-                    rid = req["id"] + 1 if action == "wrong-id" else req["id"]
+                    if action == "long":
+                        self.wfile.write(b"x" * (gateway.MAX_LINE_BYTES + 1))
+                        outer.release.wait(10)
+                        return
+                    rid = {"wrong-id": req["id"] + 1, "bool-id": True}.get(action, req["id"])
                     reply = {"id": rid, "ok": action != "refuse", "outputs": req.get("inputs")}
                     self.wfile.write((json.dumps(reply) + "\n").encode())
 
@@ -652,7 +680,7 @@ class _ScriptedServer:
         self._server.server_close()
 
 
-@pytest.mark.parametrize("fault", ["stall", "eof", "garbage", "wrong-id"])
+@pytest.mark.parametrize("fault", ["stall", "eof", "garbage", "wrong-id", "bool-id"])
 def test_remote_servable_reconnects_after_transport_fault(monkeypatch, fault):
     monkeypatch.setattr(gateway, "_REQUEST_TIMEOUT", 0.5)
     with _ScriptedServer([fault, "ok"]) as srv:
@@ -664,6 +692,20 @@ def test_remote_servable_reconnects_after_transport_fault(monkeypatch, fault):
         finally:
             remote.close()
     # the failed connection was dropped, and the new one counts ids from 1
+    assert srv.requests == [(0, 1), (1, 1)]
+
+
+def test_remote_servable_refuses_an_over_long_reply(monkeypatch):
+    monkeypatch.setattr(gateway, "MAX_LINE_BYTES", 64)
+    with _ScriptedServer(["long", "ok"]) as srv:
+        remote = RemoteServable(srv.endpoint)
+        try:
+            with pytest.raises(GatewayError, match="longer than 64 bytes"):
+                remote.generate(["first"], MAX_LEN, MIN_LEN)
+            assert remote._sock is None  # closed at once, not at the next call
+            assert remote.generate(["second"], MAX_LEN, MIN_LEN) == ["second"]
+        finally:
+            remote.close()
     assert srv.requests == [(0, 1), (1, 1)]
 
 
