@@ -9,6 +9,9 @@ Subcommands:
   optimize     greedy target optimization for one source/target pair
   linearize    JSON record arrays on stdin -> linear strings on stdout
   delinearize  linear strings on stdin -> JSON record sets on stdout
+
+Exit codes: 0 success, 1 error, 2 usage error, 3 a run whose audit failed
+(its report is still written).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .metrics import evaluate_corpus
 from .optimize import optimize_target
 from .pipeline import DataMode, Method, Orchestrator, RunConfig
 from .records import RecordKind, RecordSet
+
+EXIT_AUDIT_FAILED = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,7 +162,7 @@ def _cmd_run(args) -> int:
         + f" | audit {'ok' if report.audit['valid'] else 'FAILED'}"
         + f" | report {args.report}"
     )
-    return 0
+    return 0 if report.audit["valid"] else EXIT_AUDIT_FAILED
 
 
 def _read_lines(path: Path) -> list[str]:

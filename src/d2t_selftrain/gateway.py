@@ -303,9 +303,9 @@ class RemoteServable:
     The endpoint is validated at construction and the connection opened on
     the first request. One NDJSON connection: ids strictly increasing from 1,
     one request in flight. A transport or framing failure (socket error or
-    timeout, end of stream, malformed or over-long line, wrong id) closes
-    the connection and the next call opens a new one; a server's refusal
-    (ok false) keeps it. Nothing is retried.
+    timeout, end of stream, a reply cut off before its newline, malformed or
+    over-long line, wrong id) closes the connection and the next call opens
+    a new one; a server's refusal (ok false) keeps it. Nothing is retried.
     """
 
     backend = Backend.EXTERNAL
@@ -353,6 +353,8 @@ class RemoteServable:
             raise GatewayError(f"server closed the connection during {cmd!r}")
         if len(line) > MAX_LINE_BYTES:
             raise GatewayError(f"response line for {cmd!r} is longer than {MAX_LINE_BYTES} bytes")
+        if not line.endswith(b"\n"):
+            raise GatewayError(f"server closed the connection mid-reply to {cmd!r}: {line!r}")
         try:
             resp = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

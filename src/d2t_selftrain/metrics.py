@@ -382,31 +382,112 @@ def _advance(
     return vp, vn, score
 
 
+# Shift candidates scored together in one bit-vector pass; a step holds the
+# state of at most this many at a time.
+_TER_LANES = 64
+
+
+def _lane_distances(
+    peq: dict[str, int],
+    m: int,
+    hyp: Sequence[str],
+    prefix: Sequence[tuple[int, int, int]],
+    lanes: Sequence[tuple[int, int, int]],
+) -> list[int]:
+    """Edit distance to the reference of each shifted hypothesis (i, L, j):
+    `hyp` with its L tokens from i moved to position j of the rest.
+
+    Every candidate runs `_advance`'s step in its own (m + 1)-bit lane of the
+    same integers: the spare bit above a lane's m bits takes the carry out of
+    its addition and the bit its left shift pushes out, and is masked off.
+    A lane joins at min(i, j) with the state after that prefix of `hyp`, and
+    at each later position x it reads hyp[x - delta]: delta is j - i in the
+    moved block, +L or -L in the tokens it displaces, and 0 from
+    max(i, j) + L on. Lanes with the same delta share one match mask per
+    position. Bit k of a lane's vp/vn is the vertical delta at reference
+    row k, so its distance is n plus their difference in popcount."""
+    n = len(hyp)
+    width = m + 1
+    ones = (1 << m) - 1
+    row = [peq.get(tok, 0) for tok in hyp]
+    joins = [0] * n
+    flips: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for k, (i, length, j) in enumerate(lanes):
+        bit = 1 << k * width
+        if j < i:
+            start, turn, end, first, second = j, j + length, i + length, j - i, length
+        else:
+            start, turn, end, first, second = i, j, j + length, -length, j - i
+        joins[start] |= bit
+        at = flips[start]
+        at[first] = at.get(first, 0) ^ bit
+        at = flips[turn]
+        at[first] = at.get(first, 0) ^ bit
+        at[second] = at.get(second, 0) ^ bit
+        at = flips[end]
+        at[second] = at.get(second, 0) ^ bit
+        at[0] = at.get(0, 0) ^ bit
+    vp = vn = mask = low = 0
+    groups: dict[int, int] = {}
+    for x in range(min(min(i, j) for i, _, j in lanes), n):
+        bits = joins[x]
+        if bits:
+            pvp, pvn, _ = prefix[x]
+            vp |= pvp * bits
+            vn |= pvn * bits
+            mask |= ones * bits
+            low |= bits
+        for delta, flip in flips[x].items():
+            bits = groups.pop(delta, 0) ^ flip
+            if bits:
+                groups[delta] = bits
+        eq = 0
+        for delta, bits in groups.items():
+            eq |= row[x - delta] * bits
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp) & mask
+        hn = vp & xh
+        hp = (hp << 1 | low) & mask
+        hn = (hn << 1) & mask
+        vp = hn | ~(xv | hp) & mask
+        vn = hp & xv
+    dists = []
+    for _ in lanes:
+        dists.append(n + (vp & ones).bit_count() - (vn & ones).bit_count())
+        vp >>= width
+        vn >>= width
+    return dists
+
+
 def _ter_edits(hyp: Sequence[str], rt: Sequence[str]) -> int:
     """Greedy shift search: repeatedly apply the block shift that most
     reduces word edit distance (first such shift on ties), one edit each,
     then add the residual edit distance. `rt` must be non-empty.
 
-    Each step records the distance state after every prefix of `hyp`; a
-    shifted candidate shares `hyp[:min(i, j)]` with it, so only its tail is
-    read. A candidate already scored this step can only tie, so it is skipped.
+    Each step records the distance state after every prefix of `hyp`, and
+    scores its candidates `_TER_LANES` at a time in one pass over `hyp`
+    (`_lane_distances`). The first candidate with the largest gain wins, so
+    a candidate that repeats an earlier shifted hypothesis can only tie.
 
     Only work that can change the result is done. The distance is at least
     max(n, m) minus the LCS, the LCS is at most the bag-of-words overlap, and
     a shift keeps the bag, so no candidate gets below `floor`: the search
     ends once the distance or the best candidate reaches it. Moving k tokens
     past d others changes the distance by at most 2 * min(k, d), so a
-    candidate that cannot beat the best gain is not scored. The reference
-    starts of a block are those of its one-token-shorter prefix that the
-    next token extends, in ascending order."""
+    candidate that cannot beat the best gain of the lanes scored so far is
+    not scored. The reference starts of a block are those of its
+    one-token-shorter prefix that the next token extends, in ascending
+    order."""
     peq = _match_masks(rt)
     m = len(rt)
     hyp = tuple(hyp)
+    n = len(hyp)
     occurrences: dict[str, list[int]] = {}
     for k, tok in enumerate(rt):
         occurrences.setdefault(tok, []).append(k)
     overlap = sum(min(c, len(occurrences.get(t, ()))) for t, c in Counter(hyp).items())
-    floor = max(len(hyp), m) - overlap
+    floor = max(n, m) - overlap
     shifts = 0
     while True:
         prefix = [((1 << m) - 1, 0, m)]
@@ -416,39 +497,43 @@ def _ter_edits(hyp: Sequence[str], rt: Sequence[str]) -> int:
         if dist <= floor:
             break
         best_gain = 0
-        best_hyp: Optional[Ngram] = None
-        seen = {hyp}
-        for i in range(len(hyp)):
+        best: Optional[tuple[int, int, int]] = None
+        lanes: list[tuple[int, int, int]] = []
+
+        def score() -> None:
+            nonlocal best_gain, best
+            for lane, d in zip(lanes, _lane_distances(peq, m, hyp, prefix, lanes)):
+                if dist - d > best_gain:
+                    best_gain = dist - d
+                    best = lane
+            lanes.clear()
+
+        for i in range(n):
             targets = occurrences.get(hyp[i], [])
             length = 1
             while targets and dist - best_gain > floor:
-                block = hyp[i : i + length]
-                removed = hyp[:i] + hyp[i + length :]
                 for pos in targets:
-                    j = min(pos, len(removed))
-                    if 2 * min(length, abs(i - j)) <= best_gain:
-                        continue
-                    shifted = removed[:j] + block + removed[j:]
-                    if shifted in seen:
-                        continue
-                    seen.add(shifted)
-                    p = min(i, j)
-                    d = _advance(peq, m, prefix[p], shifted[p:])[2]
-                    if dist - d > best_gain:
-                        best_gain = dist - d
-                        best_hyp = shifted
-                        if d == floor:
-                            break
-                if i + length == len(hyp):
+                    j = min(pos, n - length)
+                    if 2 * min(length, abs(i - j)) > best_gain:
+                        lanes.append((i, length, j))
+                        if len(lanes) == _TER_LANES:
+                            score()
+                            if dist - best_gain == floor:
+                                break
+                if i + length == n:
                     break
                 nxt = hyp[i + length]
                 targets = [s for s in targets if s + length < m and rt[s + length] == nxt]
                 length += 1
             if dist - best_gain == floor:
                 break  # a later candidate could at best tie
-        if best_hyp is None:
+        if lanes:
+            score()
+        if best is None:
             break
-        hyp = best_hyp
+        i, length, j = best
+        removed = hyp[:i] + hyp[i + length :]
+        hyp = removed[:j] + hyp[i : i + length] + removed[j:]
         shifts += 1
     return shifts + dist
 

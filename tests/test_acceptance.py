@@ -459,10 +459,13 @@ def test_criterion_8_exclusion_statement_and_protocol_conformance():
 
     with ModelServer(RuleServable(RuleBasedD2T())) as d2t_srv:
         with ModelServer(RuleServable(catalog)) as t2d_srv:
-            wire_report = run_with(
-                external_handle(Direction.D2T, d2t_srv.endpoint),
-                external_handle(Direction.T2D, t2d_srv.endpoint),
-            )
+            d2t_handle = external_handle(Direction.D2T, d2t_srv.endpoint)
+            t2d_handle = external_handle(Direction.T2D, t2d_srv.endpoint)
+            try:
+                wire_report = run_with(d2t_handle, t2d_handle)
+            finally:
+                d2t_handle.close()
+                t2d_handle.close()
     local_report = run_with(*rule_handles(splits))
 
     assert wire_report.audit["valid"] is True

@@ -4,12 +4,14 @@ import gc
 import io
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from conftest import DART_SOURCE, DART_TARGET
 from d2t_selftrain import ModelServer, RuleBasedD2T, RuleBasedT2D, RuleServable, synthetic_dataset
-from d2t_selftrain.cli import main
+from d2t_selftrain import pipeline
+from d2t_selftrain.cli import EXIT_AUDIT_FAILED, main
 
 DART_ENTRY = {
     "tripleset": [
@@ -220,6 +222,36 @@ class TestRunCommand:
         assert report["audit"]["valid"] is True
         assert report["config"]["method"] == "self-mem"
         assert len(report["epochs"]) == 1
+
+    def test_failed_audit_exits_non_zero_after_writing_the_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        real_audit = pipeline.Orchestrator.audit
+
+        def audit_of_a_short_subset(orch):
+            # a subset one pair short of its block fails the real size check
+            orch.traces[0] = replace(orch.traces[0], subset=orch.traces[0].subset[:-1])
+            return real_audit(orch)
+
+        monkeypatch.setattr(pipeline.Orchestrator, "audit", audit_of_a_short_subset)
+        report_path = tmp_path / "report.json"
+        rc = main(
+            [
+                "run",
+                "--dataset",
+                "synthetic",
+                "--method",
+                "self-mem",
+                "--epochs",
+                "1",
+                "--report",
+                str(report_path),
+            ]
+        )
+        assert rc == EXIT_AUDIT_FAILED != 0
+        assert "audit FAILED" in capsys.readouterr().out
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert report["audit"]["valid"] is False
 
     def test_synthetic_rejects_split_files(self, tmp_path, capsys):
         rc = main(

@@ -4,6 +4,7 @@ import csv
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DART_SOURCE, DART_TARGET, E2E_SOURCE, E2E_TARGET
 from d2t_selftrain import (
@@ -20,7 +21,7 @@ from d2t_selftrain import (
     synthetic_dataset,
     value_in_text,
 )
-from d2t_selftrain.datasets import SplitName
+from d2t_selftrain.datasets import SplitName, _parse_mr
 
 GOLDEN_DART_ENTRY = {
     "tripleset": [
@@ -190,6 +191,45 @@ class TestLoadE2e:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="cannot read"):
             load_e2e(tmp_path / "nope.csv")
+
+
+# Values whose brackets nest and close inside them, as the parser expects.
+_plain_values = st.text(st.characters(blacklist_characters="[]"), max_size=8)
+_balanced_values = st.recursive(
+    _plain_values,
+    lambda inner: st.lists(st.one_of(inner, inner.map(lambda v: f"[{v}]")), max_size=3).map("".join),
+    max_leaves=8,
+)
+# Keys the parser reads back as they are: no "[", and nothing it strips.
+_mr_keys = st.text(st.characters(blacklist_characters="["), min_size=1, max_size=10).filter(
+    lambda k: k == k.strip(" ,").strip()
+)
+
+
+class TestParseMr:
+    @settings(max_examples=500, deadline=None)
+    @given(mr=st.one_of(st.text(), st.text(alphabet="ab[], \t", max_size=30)))
+    @example(mr="")
+    @example(mr="]")
+    @example(mr="[a]")
+    @example(mr="a[b], , c")
+    def test_any_string_parses_or_raises_value_error(self, mr):
+        try:
+            pairs = _parse_mr(mr)
+        except ValueError:
+            return
+        assert pairs
+        for key, value in pairs:
+            assert key and "[" not in key
+            assert isinstance(value, str)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(_mr_keys, _balanced_values), min_size=1, max_size=5))
+    @example(pairs=[("name", "The Golden Curry"), ("food", "English, [Indian]")])
+    @example(pairs=[("a]b", ""), ("c", "[[]]")])
+    def test_rendered_pairs_parse_back(self, pairs):
+        mr = ", ".join(f"{k}[{v}]" for k, v in pairs)
+        assert _parse_mr(mr) == pairs
 
 
 class TestSynthetic:

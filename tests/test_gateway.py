@@ -629,8 +629,9 @@ class _ScriptedServer:
     """Mock model server that answers its n-th request as `script[n]` says:
     "ok" echoes the inputs, "refuse" answers ok false, "stall" never answers,
     "eof" closes the connection, "garbage" sends a non-JSON line, "wrong-id"
-    answers under another id, "bool-id" under the id true, and "long" sends
-    one byte more than `gateway.MAX_LINE_BYTES` with no newline and stalls.
+    answers under another id, "bool-id" under the id true, "long" sends
+    one byte more than `gateway.MAX_LINE_BYTES` with no newline and stalls,
+    and "half" sends a whole reply object without its newline and closes.
     Records (connection, id) per request.
     """
 
@@ -663,6 +664,9 @@ class _ScriptedServer:
                         return
                     rid = {"wrong-id": req["id"] + 1, "bool-id": True}.get(action, req["id"])
                     reply = {"id": rid, "ok": action != "refuse", "outputs": req.get("inputs")}
+                    if action == "half":
+                        self.wfile.write(json.dumps(reply).encode())
+                        return
                     self.wfile.write((json.dumps(reply) + "\n").encode())
 
         self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
@@ -680,7 +684,7 @@ class _ScriptedServer:
         self._server.server_close()
 
 
-@pytest.mark.parametrize("fault", ["stall", "eof", "garbage", "wrong-id", "bool-id"])
+@pytest.mark.parametrize("fault", ["stall", "eof", "garbage", "wrong-id", "bool-id", "half"])
 def test_remote_servable_reconnects_after_transport_fault(monkeypatch, fault):
     monkeypatch.setattr(gateway, "_REQUEST_TIMEOUT", 0.5)
     with _ScriptedServer([fault, "ok"]) as srv:

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import d2t_selftrain
 from conftest import random_record_set
@@ -36,7 +36,14 @@ from d2t_selftrain import (
     tokenize,
 )
 from d2t_selftrain import metrics
-from d2t_selftrain.metrics import Ngram, _advance, _lcs_len, _match_masks, _ter_edits
+from d2t_selftrain.metrics import (
+    Ngram,
+    _advance,
+    _lane_distances,
+    _lcs_len,
+    _match_masks,
+    _ter_edits,
+)
 from d2t_selftrain.records import record_key
 
 APPROX = 1e-9
@@ -535,6 +542,181 @@ def test_ter_ties_keep_the_first_shift():
     assert 1 + _dp_ter_edits("b c a a".split(), ref) == 2
     assert _ter_edits(hyp, ref) == _dp_ter_edits(hyp, ref) == 3
     assert ter("a a b c", ["c b a a"]) == pytest.approx(3 / 4, abs=APPROX)
+
+
+# The packed search: candidates of a step share one bit-vector pass.
+
+
+def _shifted(hyp: Sequence[str], i: int, length: int, j: int) -> list[str]:
+    removed = list(hyp[:i]) + list(hyp[i + length :])
+    return removed[:j] + list(hyp[i : i + length]) + removed[j:]
+
+
+@st.composite
+def _lane_cases(draw, ref_sizes):
+    """(hyp, ref, lanes): any block moves (i, L, j) of hyp, in any order,
+    repeats and null moves included."""
+    abc = draw(st.sampled_from(["a", "ab", "abc", "abcdef"]))
+    ref = draw(_tokens(abc, *ref_sizes))
+    hyp = draw(_tokens(abc, 1, 16))
+    n = len(hyp)
+    lanes = []
+    for _ in range(draw(st.integers(1, 40))):
+        length = draw(st.integers(1, n))
+        i = draw(st.integers(0, n - length))
+        j = draw(st.integers(0, n - length))
+        lanes.append((i, length, j))
+    return hyp, ref, lanes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(_lane_cases((1, 1)), _lane_cases((2, 12)), _lane_cases((63, 65))))
+@example(case=(["a"], ["a"], [(0, 1, 0)]))
+@example(case=(["b", "a"], ["a"], [(0, 1, 1), (1, 1, 0)]))
+def test_lane_distances_match_dp_per_candidate(case):
+    # 1-token references make 2-bit lanes; 63-65 tokens straddle a machine word
+    hyp, ref, lanes = case
+    peq, m = _match_masks(ref), len(ref)
+    prefix = [((1 << m) - 1, 0, m)]
+    for tok in hyp:
+        prefix.append(_advance(peq, m, prefix[-1], (tok,)))
+    expected = [_dp_edit_distance(_shifted(hyp, *lane), ref) for lane in lanes]
+    assert _lane_distances(peq, m, hyp, prefix, lanes) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(hyp=_tokens("ab", 0, 12), ref=_tokens("ab", 1, 1))
+def test_ter_edits_match_both_searches_on_a_one_token_reference(hyp, ref):
+    assert _ter_edits(hyp, ref) == _dp_ter_edits(hyp, ref) == _full_scan_ter_edits(hyp, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from([63, 64, 65]),
+    data=st.data(),
+)
+def test_ter_edits_match_both_searches_around_a_word_of_reference_tokens(m, data):
+    ref = data.draw(_tokens("abcdefgh", m, m))
+    hyp = data.draw(_tokens("abcdefgh", 0, 10))
+    assert _ter_edits(hyp, ref) == _dp_ter_edits(hyp, ref)
+    assert _ter_edits(hyp, ref) == _full_scan_ter_edits(hyp, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.sampled_from([63, 64, 65]), data=st.data())
+def test_ter_edits_match_full_scan_search_around_a_word_of_reference_tokens(m, data):
+    abc = data.draw(st.sampled_from(["ab", "abc", "abcdef"]))
+    ref = data.draw(_tokens(abc, m, m))
+    hyp = data.draw(st.one_of(_tokens(abc, 0, 24), st.permutations(ref).map(lambda p: p[:24])))
+    assert _ter_edits(hyp, ref) == _full_scan_ter_edits(hyp, ref)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, 7])
+@settings(max_examples=200, deadline=None)
+@given(pair=_token_pairs(12, (1, 12)))
+@example(pair=("a a b c".split(), "c b a a".split()))
+def test_ter_edits_match_full_scan_search_across_chunk_edges(lanes, pair):
+    # chunks this small end between candidates of every step with more
+    # than a few, so the floor exit and gain bound run between chunks
+    hyp, ref = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_TER_LANES", lanes)
+        assert _ter_edits(hyp, ref) == _full_scan_ter_edits(hyp, ref)
+    assert _ter_edits(hyp, ref) == _dp_ter_edits(hyp, ref)
+
+
+def test_ter_edits_cross_a_chunk_edge_at_the_module_chunk_size():
+    rng = random.Random(11)
+    ref = [rng.choice("abcdefghijkl") for _ in range(40)]
+    hyp = ref[:]
+    rng.shuffle(hyp)
+    chunks = []
+
+    def recording_lane_distances(peq, m, hyp, prefix, lanes):
+        chunks.append(len(lanes))
+        return _lane_distances(peq, m, hyp, prefix, lanes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_lane_distances", recording_lane_distances)
+        assert _ter_edits(hyp, ref) == _full_scan_ter_edits(hyp, ref)
+    # a full chunk followed by more lanes of the same or a later step
+    assert metrics._TER_LANES in chunks[:-1]
+    assert max(chunks) == metrics._TER_LANES
+
+
+def _first_step_best_shifts(hyp: Sequence[str], ref: Sequence[str]) -> list[tuple]:
+    """Every (i, L, j) of the first step whose shift reaches the largest
+    gain, with its shifted hypothesis, by the dynamic program."""
+    dist = _dp_edit_distance(hyp, ref)
+    blocks = _ref_block_positions(ref)
+    scored = []
+    for i in range(len(hyp)):
+        for length in range(1, len(hyp) - i + 1):
+            for pos in blocks.get(tuple(hyp[i : i + length]), []):
+                j = min(pos, len(hyp) - length)
+                shifted = _shifted(hyp, i, length, j)
+                scored.append((dist - _dp_edit_distance(shifted, ref), (i, length, j), shifted))
+    best = max((gain for gain, _, _ in scored), default=0)
+    return [(lane, shifted) for gain, lane, shifted in scored if gain == best > 0]
+
+
+@st.composite
+def _rotations(draw):
+    """hyp = a + b + c against ref = b + a + c: moving a behind b and moving
+    b in front of a give the same shifted hypothesis, both at distance 0."""
+    abc = draw(st.sampled_from(["ab", "abc"]))
+    a, b = draw(_tokens(abc, 1, 4)), draw(_tokens(abc, 1, 4))
+    c = draw(_tokens(abc, 0, 3))
+    return a + b + c, b + a + c
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=st.one_of(_rotations(), _token_pairs(8, (1, 8))))
+@example(pair=("a b c c".split(), "c c a b".split()))
+@example(pair=("a a b".split(), "b a a".split()))
+def test_ter_edits_keep_the_first_of_duplicate_best_shifts(pair):
+    hyp, ref = pair
+    best = _first_step_best_shifts(hyp, ref)
+    shifted = [s for _, s in best]
+    assume(len(shifted) > len({tuple(s) for s in shifted}))  # a tied duplicate
+    assert _ter_edits(hyp, ref) == _dp_ter_edits(hyp, ref) == _full_scan_ter_edits(hyp, ref)
+    for lanes in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_TER_LANES", lanes)
+            assert _ter_edits(hyp, ref) == _dp_ter_edits(hyp, ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ter_scores_candidates_without_advance(seed):
+    # candidate scoring reads no token through _advance: every call is one
+    # token of a step's prefix pass, n calls from the start state per step
+    rng = random.Random(seed)
+    ref = [rng.choice("abcdef") for _ in range(rng.randint(8, 20))]
+    hyp = ref[:]
+    rng.shuffle(hyp)
+    hyp = hyp[: rng.randint(len(hyp) - 3, len(hyp))]
+    m, n = len(ref), len(hyp)
+    start = ((1 << m) - 1, 0, m)
+    calls = []
+    scored = []
+
+    def counting_advance(peq, m, state, tokens):
+        calls.append((state, len(tokens)))
+        return _advance(peq, m, state, tokens)
+
+    def counting_lane_distances(peq, m, hyp, prefix, lanes):
+        scored.append(len(lanes))
+        return _lane_distances(peq, m, hyp, prefix, lanes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_advance", counting_advance)
+        mp.setattr(metrics, "_lane_distances", counting_lane_distances)
+        assert _ter_edits(hyp, ref) == _full_scan_ter_edits(hyp, ref)
+    assert scored, "no candidate was scored"
+    assert all(length == 1 for _, length in calls)
+    steps = len(calls) // n
+    assert len(calls) == steps * n >= n
+    assert [state for state, _ in calls[::n]] == [start] * steps
 
 
 def test_ter_empty_reference_rejected():
