@@ -9,13 +9,7 @@ stage runnable without a neural model; external model servers attach over a
 newline-delimited JSON protocol.
 """
 
-from .datasets import (
-    DatasetSplit,
-    SplitName,
-    load_dart,
-    load_e2e,
-    synthetic_dataset,
-)
+from .datasets import load_dart, load_e2e, synthetic_dataset
 from .errors import (
     AllocationError,
     DatasetError,
@@ -36,7 +30,6 @@ from .gateway import (
     ModelHandle,
     RuleBasedD2T,
     RuleBasedT2D,
-    TrainAck,
     checkpoint,
     external_handle,
     generate_batch,
@@ -64,14 +57,13 @@ from .metrics import (
     ter,
     tokenize,
 )
-from .optimize import OptimizationOutcome, optimize_target, split_sentences
+from .optimize import optimize_target, split_sentences
 from .pipeline import (
     DataMode,
     EpochTrace,
     Method,
     Orchestrator,
     RunConfig,
-    RunReport,
     strategy_for,
 )
 from .records import (
@@ -89,9 +81,7 @@ from .records import (
 from .selection import (
     CaseId,
     Condition,
-    SelectionVerdict,
     Strategy,
-    SubsetPlan,
     allocate,
     build_subset,
     derive_seed,
@@ -109,7 +99,6 @@ __all__ = [
     "Condition",
     "DataMode",
     "DatasetError",
-    "DatasetSplit",
     "DelinearizeError",
     "DelinearizeResult",
     "Direction",
@@ -125,7 +114,6 @@ __all__ = [
     "ModelHandle",
     "ModelServer",
     "Mr",
-    "OptimizationOutcome",
     "Orchestrator",
     "Origin",
     "OsfScore",
@@ -138,13 +126,8 @@ __all__ = [
     "RuleBasedT2D",
     "RuleServable",
     "RunConfig",
-    "RunReport",
-    "SelectionVerdict",
     "SelfMemTuple",
-    "SplitName",
     "Strategy",
-    "SubsetPlan",
-    "TrainAck",
     "Triple",
     "VariantMismatchError",
     "allocate",

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from .datasets import SplitName, load_dart, load_e2e, synthetic_dataset
-from .errors import DelinearizeError, PipelineError
+from .errors import DelinearizeError, PipelineError, RecordFieldError
 from .gateway import Direction, RuleBasedT2D, external_handle, rule_based_handle
 from .linearize import delinearize, linearize
 from .metrics import evaluate_corpus
@@ -216,17 +216,17 @@ def _cmd_optimize(args) -> int:
 
 def _record_set_from_json(line: str) -> RecordSet:
     data = json.loads(line)
-    if isinstance(data, dict):
+    if not isinstance(data, list):
         return RecordSet.from_dict(data)
-    if isinstance(data, list) and data and all(isinstance(r, list) for r in data):
-        widths = {len(r) for r in data}
-        if widths == {3}:
-            return RecordSet.from_dict({"kind": "tripleset", "records": data})
-        if widths == {2}:
-            return RecordSet.from_dict({"kind": "mrset", "records": data})
+    # a bare array of records: the first variant whose records it holds
+    for kind in RecordKind:
+        try:
+            return RecordSet.from_dict({"kind": kind.value, "records": data})
+        except RecordFieldError:
+            continue
     raise ValueError(
         "each line must be a JSON record-set object or a uniform array of "
-        "[s, p, o] or [key, value] records"
+        "[s, p, o] or [key, value] string records"
     )
 
 

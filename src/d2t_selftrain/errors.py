@@ -6,7 +6,8 @@ class PipelineError(Exception):
 
 
 class RecordFieldError(PipelineError):
-    """A record field is empty, or holds or borders on a reserved separator."""
+    """A record field is not a string, is empty, or holds or borders on a
+    reserved separator; or a record has the wrong number of fields."""
 
 
 class VariantMismatchError(PipelineError):

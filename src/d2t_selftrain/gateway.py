@@ -11,7 +11,9 @@ Wire protocol, one JSON object per line, UTF-8:
   request  {"id": n, "cmd": "generate"|"train"|"save"|"load"|"shutdown", ...}
   response {"id": n, "ok": true|false, ...}
 ids are strictly increasing per connection with one request in flight at a
-time. Payload fields: inputs/max_len/min_len -> outputs (generate),
+time. Both ends read a message with read_message: a line of at most
+MAX_LINE_BYTES, ending in a newline, holding a JSON object with an integer
+id. Payload fields: inputs/max_len/min_len -> outputs (generate),
 pairs -> loss (train), tag (save/load), error (any failure). Every generate
 request carries the fixed decode limits MAX_LEN (256) and MIN_LEN (4), the
 values the run report records.
@@ -26,17 +28,11 @@ import socket
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import BinaryIO, NamedTuple, Optional, Sequence, Union
 
 from .errors import DelinearizeError, GatewayError
 from .linearize import delinearize, render_records
-from .records import (
-    Mr,
-    RecordKind,
-    RecordSet,
-    Triple,
-    normalize_text,
-)
+from .records import Record, RecordKind, RecordSet, normalize_text
 
 
 class Direction(enum.Enum):
@@ -116,7 +112,7 @@ class RuleBasedD2T:
 
 
 class _CatalogEntry(NamedTuple):
-    record: Union[Triple, Mr]
+    record: Record
     values: tuple[str, ...]  # case-folded evidence values
     evidence: Optional[str]  # case-folded predicate/key phrase; None = values suffice
 
@@ -173,20 +169,16 @@ class RuleBasedT2D:
         # first value -> indices of the entries listing it first; an entry can
         # only be recovered when its first value is found
         by_first: dict[str, list[int]] = {}
-        # one variant, so the case-folded fields alone identify a record
-        # (record_key without the variant name)
+        mr_set = self.kind is RecordKind.MR_SET
         for rs in record_sets:
             for r in rs.records:
-                if isinstance(r, Triple):
-                    values = (r.subject.casefold(), r.object.casefold())
-                    key = (values[0], r.predicate.casefold(), values[1])
-                    evidence = _phrase(r.predicate).casefold()
-                else:
-                    values = (r.value.casefold(),)
-                    key = (r.key.casefold(), values[0])
-                    evidence = None if key[0] == "name" else _phrase(r.key).casefold()
+                values = tuple(map(str.casefold, r.values))
+                # one variant, so the folded label and values identify a record
+                key = (r.label.casefold(), values)
                 if key in entries:
                     continue
+                # an MR set's name pair is its subject: its value alone recovers it
+                evidence = None if mr_set and key[0] == "name" else _phrase(r.label).casefold()
                 by_first.setdefault(values[0], []).append(len(entries))
                 entries[key] = _CatalogEntry(r, values, evidence)
         self._entries = tuple(entries.values())
@@ -226,7 +218,7 @@ class RuleBasedT2D:
                 positions[v] = pos
                 consumed.append((pos, pos + len(v)))
         evidence: dict[str, bool] = {}
-        chosen: list[tuple[int, int, Union[Triple, Mr]]] = []
+        chosen: list[tuple[int, int, Record]] = []
         for idx in (i for v in positions for i in self._by_first.get(v, ())):
             e = self._entries[idx]
             if not all(v in positions for v in e.values):
@@ -290,6 +282,32 @@ _REQUEST_TIMEOUT = 600.0
 MAX_LINE_BYTES = 64 * 2**20
 
 
+def read_message(stream: BinaryIO) -> Optional[dict]:
+    """One wire message from a binary stream, for either end: None at a clean
+    end of stream, else a JSON object with an integer id. GatewayError for a
+    line over MAX_LINE_BYTES, one cut off at end of stream before its newline,
+    or one that is not UTF-8 JSON holding such an object. Each end reacts to
+    the error and checks the id's order itself."""
+    line = stream.readline(MAX_LINE_BYTES + 1)
+    if not line:
+        return None
+    if len(line) > MAX_LINE_BYTES:
+        raise GatewayError(f"line longer than {MAX_LINE_BYTES} bytes")
+    if not line.endswith(b"\n"):
+        raise GatewayError(f"line cut off at end of stream: {line[:200]!r}")
+    try:
+        msg = json.loads(line.decode("utf-8"))
+    # ValueError covers bad UTF-8 and bad JSON; nesting too deep recurses
+    except (ValueError, RecursionError) as exc:
+        raise GatewayError(f"malformed line: {line[:200]!r}") from exc
+    if not isinstance(msg, dict):
+        raise GatewayError(f"line holds no JSON object: {line[:200]!r}")
+    # type, not isinstance: JSON true is a bool, and True == 1
+    if type(msg.get("id")) is not int:
+        raise GatewayError(f"ids must be integers, got {msg.get('id')!r}")
+    return msg
+
+
 def _parse_endpoint(endpoint: str) -> tuple[str, int]:
     host, sep, port = endpoint.rpartition(":")
     if not sep or not host or not port.isdigit() or not 0 < int(port) < 65536:
@@ -346,24 +364,15 @@ class RemoteServable:
         try:
             self._writer.write(json.dumps({"id": rid, "cmd": cmd, **payload}, ensure_ascii=False) + "\n")
             self._writer.flush()
-            line = self._reader.readline(MAX_LINE_BYTES + 1)
+            resp = read_message(self._reader)
         except OSError as exc:
             raise GatewayError(f"connection lost during {cmd!r}: {exc}") from exc
-        if not line:
+        except GatewayError as exc:
+            raise GatewayError(f"bad reply to {cmd!r}: {exc}") from exc
+        if resp is None:
             raise GatewayError(f"server closed the connection during {cmd!r}")
-        if len(line) > MAX_LINE_BYTES:
-            raise GatewayError(f"response line for {cmd!r} is longer than {MAX_LINE_BYTES} bytes")
-        if not line.endswith(b"\n"):
-            raise GatewayError(f"server closed the connection mid-reply to {cmd!r}: {line!r}")
-        try:
-            resp = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise GatewayError(f"malformed response line for {cmd!r}: {line!r}") from exc
-        # type, not isinstance: JSON true is a bool, and True == 1
-        if not isinstance(resp, dict) or type(resp.get("id")) is not int or resp["id"] != rid:
-            raise GatewayError(
-                f"response id mismatch for {cmd!r}: sent {rid}, got {resp.get('id') if isinstance(resp, dict) else resp!r}"
-            )
+        if resp["id"] != rid:
+            raise GatewayError(f"response id mismatch for {cmd!r}: sent {rid}, got {resp['id']}")
         return resp
 
     def generate(self, inputs: Sequence[str], max_len: int, min_len: int) -> list[str]:
@@ -409,7 +418,7 @@ Servable = Union[RuleServable, RemoteServable]
 
 @dataclass
 class ModelHandle:
-    """Binding of a model direction to a servable, plus checkpoint state.
+    """Binding of a model direction to a servable.
 
     A handle that owns a server connection is not safe to share across
     concurrent callers; distinct handles may operate in parallel.
@@ -417,7 +426,6 @@ class ModelHandle:
 
     direction: Direction
     servable: Servable
-    checkpoint_tag: Optional[str] = None
 
     @property
     def backend(self) -> Backend:
@@ -467,8 +475,7 @@ def train_batch(h: ModelHandle, pairs: Sequence[tuple[str, str]]) -> TrainAck:
 
 
 def checkpoint(h: ModelHandle, action: CheckpointAction, tag: str) -> None:
-    """Save or load a named checkpoint; success updates h.checkpoint_tag."""
+    """Save or load a named checkpoint."""
     if not tag or not tag.strip():
         raise ValueError("checkpoint tag must be non-empty")
     getattr(h.servable, action.value)(tag)
-    h.checkpoint_tag = tag

@@ -15,11 +15,10 @@ from .errors import DelinearizeError, LinearizationError, RecordFieldError
 from .records import (
     FIELD_SEP,
     RECORD_SEP,
-    Mr,
     Record,
     RecordKind,
     RecordSet,
-    Triple,
+    make_record,
     normalize_text,
 )
 
@@ -73,21 +72,12 @@ def delinearize(t: str, kind: RecordKind) -> DelinearizeResult:
     exact field count for `kind` are dropped and counted, never fabricated.
     Raises DelinearizeError (carrying the drop count) when nothing parses.
     """
-    n_fields = 3 if kind is RecordKind.TRIPLESET else 2
-    make = Triple if kind is RecordKind.TRIPLESET else Mr
     records: list[Record] = []
     dropped = 0
     text = normalize_text(t)
-    segments = text.split(RECORD_SEP) if text else []
-    for seg in segments:
-        # pieces of normalised text split at space-edged separators: already
-        # normalised themselves
-        fields = seg.split(FIELD_SEP)
-        if len(fields) != n_fields or not all(fields):
-            dropped += 1
-            continue
+    for seg in text.split(RECORD_SEP) if text else ():
         try:
-            records.append(make(*fields))
+            records.append(make_record(kind, seg.split(FIELD_SEP)))
         except RecordFieldError:
             dropped += 1
     if not records:
@@ -103,19 +93,8 @@ def extract_source_values(rs: RecordSet) -> tuple[str, ...]:
     order: subjects and objects for triplesets, the subject name and all
     values for MR sets. Predicates and keys are not source values.
     """
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def add(v: str) -> None:
-        k = v.casefold()
-        if k not in seen:
-            seen.add(k)
-            out.append(v)
-
+    first: dict[str, str] = {}  # case-folded value -> its first spelling
     for r in rs.records:
-        if isinstance(r, Triple):
-            add(r.subject)
-            add(r.object)
-        else:
-            add(r.value)
-    return tuple(out)
+        for v in r.values:
+            first.setdefault(v.casefold(), v)
+    return tuple(first.values())

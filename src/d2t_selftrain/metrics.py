@@ -159,14 +159,11 @@ def bleu(
 
 
 _NIST_BETA = math.log(0.5) / math.log(2 / 3) ** 2
+_NIST_MAX_N = 5
 
 
-def nist(
-    candidates: Sequence[str],
-    references: Sequence[Sequence[str]],
-    max_n: int = 5,
-) -> float:
-    """Corpus NIST: information-weighted n-gram co-occurrence, n=1..max_n.
+def nist(candidates: Sequence[str], references: Sequence[Sequence[str]]) -> float:
+    """Corpus NIST: information-weighted n-gram co-occurrence, n=1..5.
 
     Information weights come from reference-corpus frequencies:
     info(w1..wn) = log2(count(w1..wn-1) / count(w1..wn)), with the total
@@ -181,7 +178,7 @@ def nist(
     for refs in references:
         for ref in refs:
             total_words += len(ref.tokens)
-            for n in range(1, max_n + 1):
+            for n in range(1, _NIST_MAX_N + 1):
                 ref_counts.update(ref.grams(n))
 
     weights: dict[Ngram, float] = {}
@@ -198,15 +195,15 @@ def nist(
             weights[gram] = weight
         return weight
 
-    numer = [0.0] * max_n
-    denom = [0] * max_n
+    numer = [0.0] * _NIST_MAX_N
+    denom = [0] * _NIST_MAX_N
     cand_len = 0
     ref_len = 0.0
     for cand, refs in zip(candidates, references):
         cand = _analysed(cand)
         cand_len += len(cand.tokens)
         ref_len += sum(len(r.tokens) for r in refs) / len(refs)
-        for n in range(1, max_n + 1):
+        for n in range(1, _NIST_MAX_N + 1):
             grams = cand.grams(n)
             denom[n - 1] += sum(grams.values())
             limit = _max_ref_counts(refs, n)
@@ -217,7 +214,7 @@ def nist(
 
     if cand_len == 0 or ref_len == 0:
         return 0.0
-    score = sum(numer[i] / denom[i] for i in range(max_n) if denom[i])
+    score = sum(numer[i] / denom[i] for i in range(_NIST_MAX_N) if denom[i])
     ratio = min(cand_len / ref_len, 1.0)
     return score * math.exp(_NIST_BETA * math.log(ratio) ** 2)
 
@@ -276,7 +273,10 @@ def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
     return m - v.bit_count()
 
 
-def rouge_l(candidate: str, references: Sequence[str], beta_sq: float = 1.2) -> float:
+_ROUGE_BETA_SQ = 1.2
+
+
+def rouge_l(candidate: str, references: Sequence[str]) -> float:
     """LCS F-measure with recall-favoring beta^2 (1.2); best reference wins."""
     if not references:
         raise MetricError("rouge_l needs at least one reference")
@@ -289,17 +289,16 @@ def rouge_l(candidate: str, references: Sequence[str], beta_sq: float = 1.2) -> 
             continue
         precision = lcs / len(ct)
         recall = lcs / len(rt)
-        score = (1 + beta_sq) * precision * recall / (recall + beta_sq * precision)
+        score = (1 + _ROUGE_BETA_SQ) * precision * recall / (recall + _ROUGE_BETA_SQ * precision)
         best = max(best, score)
     return best
 
 
-def cider(
-    candidates: Sequence[str],
-    references: Sequence[Sequence[str]],
-    max_n: int = 4,
-) -> float:
-    """Corpus CIDEr: mean tf-idf n-gram cosine (n=1..max_n), scaled by 10.
+_CIDER_MAX_N = 4
+
+
+def cider(candidates: Sequence[str], references: Sequence[Sequence[str]]) -> float:
+    """Corpus CIDEr: mean tf-idf n-gram cosine (n=1..4), scaled by 10.
 
     idf is ln(items / document frequency) over the reference corpus, where an
     item counts toward an n-gram's frequency when any of its references
@@ -314,7 +313,7 @@ def cider(
     for refs in references:
         seen: set[Ngram] = set()
         for ref in refs:
-            for n in range(1, max_n + 1):
+            for n in range(1, _CIDER_MAX_N + 1):
                 seen.update(ref.grams(n))
         df.update(seen)
 
@@ -340,10 +339,10 @@ def cider(
     for cand, refs in zip(candidates, references):
         cand = _analysed(cand)
         item = 0.0
-        for n in range(1, max_n + 1):
+        for n in range(1, _CIDER_MAX_N + 1):
             cv = tfidf(cand, n)
             item += sum(cosine(cv, tfidf(ref, n)) for ref in refs) / len(refs)
-        total += 10.0 * item / max_n
+        total += 10.0 * item / _CIDER_MAX_N
     return total / n_items
 
 

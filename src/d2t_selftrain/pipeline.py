@@ -185,10 +185,6 @@ class EpochTrace:
         if len(self.tuples) != len(self.verdicts):
             raise ValueError("tuples and verdicts must align")
 
-    @property
-    def checkpoint_saved(self) -> bool:
-        return self.checkpoint_saved_d2t or self.checkpoint_saved_t2d
-
     def to_dict(self) -> dict:
         return {
             "epoch": self.epoch,

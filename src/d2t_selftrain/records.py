@@ -7,13 +7,17 @@ rejected inside record fields at construction time, because the format defines
 no escaping scheme. Nor may a field start with ": " or "| ", end with " :" or
 " |", or be ":" or "|" alone: next to a separator it would form another one
 and shift the fields.
+
+Each record variant owns its shape: `fields` in linear order, `values` (the
+fields a text about the record should mention) and `label` (the field that
+says how they relate); `make_record` builds the variant of a RecordKind.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import RecordFieldError, VariantMismatchError
 
@@ -47,6 +51,8 @@ def value_in_text(value: str, text: str) -> bool:
 
 
 def _clean_field(name: str, raw: str) -> str:
+    if not isinstance(raw, str):
+        raise RecordFieldError(f"record field {name!r} is not a string: {raw!r}")
     value = normalize_text(raw)
     if not value:
         raise RecordFieldError(f"record field {name!r} is empty after whitespace normalization")
@@ -79,6 +85,14 @@ class Triple:
     def fields(self) -> tuple[str, ...]:
         return (self.subject, self.predicate, self.object)
 
+    @property
+    def values(self) -> tuple[str, ...]:
+        return (self.subject, self.object)
+
+    @property
+    def label(self) -> str:
+        return self.predicate
+
 
 @dataclass(frozen=True)
 class Mr:
@@ -95,10 +109,28 @@ class Mr:
     def fields(self) -> tuple[str, ...]:
         return (self.key, self.value)
 
+    @property
+    def values(self) -> tuple[str, ...]:
+        return (self.value,)
+
+    @property
+    def label(self) -> str:
+        return self.key
+
 
 Record = Union[Triple, Mr]
 
 _KIND_TYPES = {RecordKind.TRIPLESET: Triple, RecordKind.MR_SET: Mr}
+
+
+def make_record(kind: RecordKind, fields: Sequence[str]) -> Record:
+    """The `kind` record built from its fields in order. RecordFieldError when
+    `fields` is not a list or tuple of as many strings as the record has."""
+    make = _KIND_TYPES[kind]
+    # a dataclass's __match_args__ names its fields in order
+    if not isinstance(fields, (list, tuple)) or len(fields) != len(make.__match_args__):
+        raise RecordFieldError(f"{kind.value} records take {len(make.__match_args__)} fields, got {fields!r}")
+    return make(*fields)
 
 
 def record_key(r: Record) -> tuple[str, ...]:
@@ -146,9 +178,11 @@ class RecordSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RecordSet":
-        kind = RecordKind(d["kind"])
-        make = Triple if kind is RecordKind.TRIPLESET else Mr
-        return cls(records=tuple(make(*f) for f in d["records"]), kind=kind)
+        try:
+            kind, records = RecordKind(d["kind"]), list(d["records"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"a record set needs a 'kind' and a 'records' list, got {d!r}") from exc
+        return cls(records=tuple(make_record(kind, f) for f in records), kind=kind)
 
 
 @dataclass(frozen=True)

@@ -191,9 +191,6 @@ class Strategy(enum.Enum):
 @dataclass(frozen=True)
 class SubsetPlan:
     epoch_indices: tuple[tuple[int, ...], ...]
-    strategy: Strategy
-    ratio: float
-    seed: int
     n_examples: int
 
     @property
@@ -206,15 +203,6 @@ class SubsetPlan:
     def unused_indices(self) -> list[int]:
         used = self.used_indices()
         return [i for i in range(self.n_examples) if i not in used]
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "ratio": self.ratio,
-            "seed": self.seed,
-            "n_examples": self.n_examples,
-            "epoch_indices": [list(block) for block in self.epoch_indices],
-        }
 
 
 def block_size(n_examples: int, ratio: float) -> int:
@@ -262,10 +250,4 @@ def allocate(
         else:
             first = tuple(order[:k])
             blocks = tuple(first for _ in range(epochs))
-    return SubsetPlan(
-        epoch_indices=blocks,
-        strategy=strategy,
-        ratio=ratio,
-        seed=seed,
-        n_examples=n_examples,
-    )
+    return SubsetPlan(epoch_indices=blocks, n_examples=n_examples)

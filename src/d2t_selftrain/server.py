@@ -7,11 +7,12 @@ of `gateway` re-exported here, wraps the deterministic rule-based baselines
 and answers train requests with a pseudo loss equal to the pair count. Real
 model servers only need to reproduce the same five commands.
 
-Protocol per connection: ids must be strictly increasing integers and lines
-at most `gateway.MAX_LINE_BYTES` long; any malformed or over-long line or
-protocol violation is answered with ok=false and the connection dropped.
-A read or write that fails (the client reset or went away) ends the
-connection quietly.
+Protocol per connection: requests are read by `gateway.read_message`, the
+framing the client applies to replies, and their ids must be strictly
+increasing. A line that breaks the framing (over-long, cut off at end of
+stream, not a JSON object, no integer id) or an id out of order is answered
+with ok=false and the connection dropped. A read or write that fails (the
+client reset or went away) ends the connection quietly.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import threading
 from typing import Optional
 
 from . import gateway
+from .errors import GatewayError
 from .gateway import MAX_LEN, MIN_LEN
 from .gateway import RuleServable  # noqa: F401 -- re-exported with the server
 
@@ -41,34 +43,17 @@ class _Handler(socketserver.StreamRequestHandler):
         servable = self.server.servable
         lock = self.server.model_lock
         while True:
-            raw = self.rfile.readline(gateway.MAX_LINE_BYTES + 1)
-            if not raw:
-                return
-            if len(raw) > gateway.MAX_LINE_BYTES:
-                self._reply(
-                    {
-                        "id": last_id,
-                        "ok": False,
-                        "error": f"request line longer than {gateway.MAX_LINE_BYTES} bytes",
-                    }
-                )
-                return
             try:
-                req = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                self._reply({"id": last_id, "ok": False, "error": "malformed request line"})
+                req = gateway.read_message(self.rfile)
+            except GatewayError as exc:
+                self._reply({"id": last_id, "ok": False, "error": str(exc)})
                 return
-            rid = req.get("id") if isinstance(req, dict) else None
-            # type, not isinstance: JSON true is a bool, and bools are ints
-            is_int = type(rid) is int
-            if not is_int or rid <= last_id:
-                self._reply(
-                    {
-                        "id": rid if is_int else last_id,
-                        "ok": False,
-                        "error": f"ids must be strictly increasing integers, got {rid!r} after {last_id}",
-                    }
-                )
+            if req is None:
+                return
+            rid = req["id"]
+            if rid <= last_id:
+                error = f"ids must be strictly increasing, got {rid} after {last_id}"
+                self._reply({"id": rid, "ok": False, "error": error})
                 return
             last_id = rid
             cmd = req.get("cmd")

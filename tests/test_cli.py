@@ -59,6 +59,19 @@ class TestLinearizeCommand:
         assert main(["linearize"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"kind": "tripleset"}',  # no records
+            '{"kind": "tripleset", "records": [["a", "b"]]}',  # a pair in a tripleset
+            "[[1, 2, 3]]",  # fields that are not strings
+        ],
+    )
+    def test_malformed_record_json(self, monkeypatch, capsys, line):
+        _feed_stdin(monkeypatch, line + "\n")
+        assert main(["linearize"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestDelinearizeCommand:
     def test_tripleset_lines(self, monkeypatch, capsys):

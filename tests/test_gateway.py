@@ -1,5 +1,6 @@
 """Model gateway: rule-based baselines, wire protocol client, and server."""
 
+import io
 import json
 import random
 import select
@@ -387,7 +388,6 @@ def test_train_and_checkpoint_rule_backend():
     assert ack.loss == 1.0
     checkpoint(h, CheckpointAction.SAVE, "best")
     checkpoint(h, CheckpointAction.LOAD, "best")
-    assert h.checkpoint_tag == "best"
     with pytest.raises(GatewayError):
         checkpoint(h, CheckpointAction.LOAD, "missing")
     with pytest.raises(ValueError):
@@ -428,7 +428,6 @@ def test_external_checkpoint_save_load(echo_server):
     try:
         checkpoint(h, CheckpointAction.SAVE, "epoch1-best")
         checkpoint(h, CheckpointAction.LOAD, "epoch1-best")
-        assert h.checkpoint_tag == "epoch1-best"
         with pytest.raises(GatewayError):
             checkpoint(h, CheckpointAction.LOAD, "missing")
     finally:
@@ -522,12 +521,10 @@ def test_servable_conformance(d2t_handle_for):
     assert train_batch(h, pairs).loss == len(pairs)
     checkpoint(h, CheckpointAction.SAVE, "epoch1")
     checkpoint(h, CheckpointAction.LOAD, "epoch1")
-    assert h.checkpoint_tag == "epoch1"
     with pytest.raises(GatewayError) as exc_info:
         checkpoint(h, CheckpointAction.LOAD, "missing")
     # the server forwards the servable's error text unchanged
     assert str(exc_info.value).endswith("unknown checkpoint tag 'missing'")
-    assert h.checkpoint_tag == "epoch1"
 
 
 def test_servable_conformance_length_check(d2t_handle_for):
@@ -620,6 +617,83 @@ def test_wire_bad_payload_shapes(echo_server):
         ],
     )
     assert [r["ok"] for r in replies] == [False, False, False]
+
+
+class _RecordingServable(RuleServable):
+    def __init__(self):
+        super().__init__(RuleBasedD2T())
+        self.trained = []
+
+    def train(self, pairs):
+        self.trained.append(pairs)
+        return super().train(pairs)
+
+
+def test_server_refuses_a_request_cut_off_at_eof():
+    servable = _RecordingServable()
+    with ModelServer(servable) as server:
+        host, port = server.endpoint.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as sock, sock.makefile("rb") as f:
+            # a whole request object, but the client died before its newline
+            sock.sendall(json.dumps({"id": 1, "cmd": "train", "pairs": [["a", "b"]]}).encode())
+            sock.shutdown(socket.SHUT_WR)
+            resp = json.loads(f.readline())
+            assert f.readline() == b""  # and the connection is dropped
+    assert resp["ok"] is False
+    assert "cut off" in resp["error"]
+    assert servable.trained == []
+
+
+# --------------------------------------------------------- the shared reader
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=8)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+# objects with and without an id of every JSON type
+_JSON_OBJECTS = st.builds(
+    lambda extra, rid: {**extra, **rid},
+    st.dictionaries(st.sampled_from(["cmd", "ok", "x"]), _JSON_VALUES, max_size=2),
+    st.one_of(st.just({}), st.builds(lambda v: {"id": v}, _JSON_SCALARS)),
+)
+_WIRE_LINES = st.one_of(
+    st.binary(max_size=80),  # anything, newlines included
+    st.builds(lambda v: json.dumps(v).encode(), st.one_of(_JSON_OBJECTS, _JSON_VALUES)),
+    st.sampled_from([b"\xff\xfe", b"\xc3", b"{\"id\": 1, \"x\": \"\xe9\"}"]),  # not UTF-8
+)
+_WIRE_STREAMS = st.lists(
+    st.tuples(_WIRE_LINES, st.booleans()).map(lambda t: t[0] + b"\n" * t[1]), max_size=5
+).map(b"".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WIRE_STREAMS, st.sampled_from([16, 64, 4096]))
+@example(b'{"id": 1}\n', 8)  # over the cap
+@example(b'{"id": 1, "cmd": "train"}', 4096)  # no newline
+@example(b"\xff\n", 4096)  # not UTF-8
+@example(b"[1, 2]\n", 4096)  # not an object
+@example(b'{"id": true}\n{"id": 1.0}\n{}\n', 4096)  # ids that are not integers
+@example(b"[" * 4000 + b"\n", 4096)  # nested past the recursion limit
+def test_read_message_returns_a_message_none_or_gateway_error(data, cap):
+    stream = io.BytesIO(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gateway, "MAX_LINE_BYTES", cap)
+        for _ in range(data.count(b"\n") + 2):
+            try:
+                msg = gateway.read_message(stream)
+            except GatewayError:
+                return
+            if msg is None:
+                assert stream.read() == b""
+                return
+            assert isinstance(msg, dict) and type(msg["id"]) is int
+    pytest.fail("the reader neither ended nor refused the stream")
 
 
 # ------------------------------------------------------------ transport faults

@@ -235,7 +235,7 @@ class TestCheckpointSelection:
         assert orch.best.t2d_tag == "t2d-epoch1"
 
         third = orch.select_checkpoint(self._trace(2, 0.33, 0.39))
-        assert not third.checkpoint_saved
+        assert not third.checkpoint_saved_d2t and not third.checkpoint_saved_t2d
         assert orch.best.meteor == 0.35
         assert orch.best.osf_precision == 0.40
 

@@ -311,14 +311,6 @@ def test_derive_seed_matches_independent_recomputation():
     assert derive_seed(1, "a") != derive_seed(2, "a")
 
 
-def test_subset_plan_to_dict():
-    plan = allocate(10, Strategy.FIXED_NON_OVERLAP, 0.3, 2, seed=5)
-    d = plan.to_dict()
-    assert d["strategy"] == "fixed-non-overlap"
-    assert d["n_examples"] == 10
-    assert len(d["epoch_indices"]) == 2
-
-
 def test_randomized_judgements_are_deterministic():
     rng = random.Random(0)
     for _ in range(50):
