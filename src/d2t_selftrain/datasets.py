@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from .errors import DatasetError, LinearizationError, RecordFieldError
 from .linearize import linearize
-from .records import Example, Mr, RecordKind, RecordSet, Triple
+from .records import Example, Mr, RecordKind, RecordSet, Triple, make_record
 
 
 class SplitName(enum.Enum):
@@ -67,11 +67,8 @@ def load_dart(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Data
             continue
         records = []
         for j, t in enumerate(tripleset):
-            if not (isinstance(t, (list, tuple)) and len(t) == 3 and all(isinstance(f, str) for f in t)):
-                warnings.append(f"entry {i}: triple {j} is not [s, p, o] strings, dropped")
-                continue
             try:
-                records.append(Triple(*t))
+                records.append(make_record(RecordKind.TRIPLESET, t))
             except RecordFieldError as exc:
                 warnings.append(f"entry {i}: triple {j} rejected ({exc}), dropped")
         if not records:

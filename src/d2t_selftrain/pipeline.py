@@ -265,6 +265,14 @@ class Orchestrator:
             raise DatasetError("test split needs at least 2 examples for corpus-level scoring")
         self.cfg = cfg
         self.kind: RecordKind = cfg.train.examples[0].source.kind
+        # one variant per run: T2D output is parsed as it, and metrics refuse a mix
+        for split in (cfg.train, cfg.val, cfg.test):
+            for k, ex in enumerate(split.examples):
+                if ex.source.kind is not self.kind:
+                    raise DatasetError(
+                        f"{split.name.value} example {k} is a {ex.source.kind.value}, "
+                        f"but the first train example is a {self.kind.value}"
+                    )
         self.strategy = strategy_for(cfg.method, cfg.data_mode)
         self.plan = allocate(
             len(cfg.train), self.strategy, cfg.ratio, cfg.epochs, cfg.seed

@@ -197,21 +197,6 @@ class Example:
         if not self.target.strip():
             raise RecordFieldError("example target is empty")
 
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source.to_dict(),
-            "source_text": self.source_text,
-            "target": self.target,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Example":
-        return cls(
-            source=RecordSet.from_dict(d["source"]),
-            source_text=d["source_text"],
-            target=d["target"],
-        )
-
 
 @dataclass(frozen=True)
 class SelfMemTuple:

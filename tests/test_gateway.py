@@ -14,11 +14,11 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from conftest import linear_texts, random_record_set
 from d2t_selftrain import (
     Backend,
     CheckpointAction,
-    DelinearizeError,
     Direction,
     GatewayError,
     ModelHandle,
@@ -35,8 +35,6 @@ from d2t_selftrain import (
     external_handle,
     generate_batch,
     linearize,
-    normalize_text,
-    render_records,
     rule_based_handle,
     train_batch,
 )
@@ -93,6 +91,21 @@ def test_rule_t2d_matches_longest_value_first():
     b = RecordSet((Triple("Bob", "LIVES_IN", "York"),), RecordKind.TRIPLESET)
     t2d = RuleBasedT2D([a, b])
     assert t2d.generate("Ann lives in New York.") == "Ann : LIVES_IN : New York"
+
+
+def test_rule_t2d_matches_longest_value_first_past_eight_values():
+    # seven longer values put "new york" at rank 7 and "york" at rank 8; a
+    # set of small ints iterates in slot order (rank mod 8), so searching
+    # the candidate ranks unsorted would try "york" first
+    filler = [Triple(f"filler subject {w}", "P", f"filler object {w}") for w in ("one", "two", "three")]
+    catalog = [
+        RecordSet((*filler, Triple("filler subject four", "P", "Bob")), RecordKind.TRIPLESET),
+        RecordSet((Triple("Ann", "LIVES_IN", "New York"),), RecordKind.TRIPLESET),
+        RecordSet((Triple("Bob", "LIVES_IN", "York"),), RecordKind.TRIPLESET),
+    ]
+    text = "Ann lives in New York."
+    assert RuleBasedT2D(catalog).generate(text) == oracles.t2d_generate(catalog, text)
+    assert oracles.t2d_generate(catalog, text) == "Ann : LIVES_IN : New York"
 
 
 def test_rule_t2d_word_boundary_blocks_substring_hits():
@@ -152,55 +165,16 @@ def test_infer_record_set_prefers_cleaner_parse():
     assert infer_record_set("gibberish") is None
 
 
-def _both_parses_infer_record_set(text):
-    """Verbatim copy of the inference that always tried both variants."""
-    best = None
-    for kind in (RecordKind.TRIPLESET, RecordKind.MR_SET):
-        try:
-            res = delinearize(text, kind)
-        except DelinearizeError:
-            continue
-        if best is None or res.dropped < best.dropped:
-            best = res
-    return None if best is None else best.record_set
-
-
 @settings(max_examples=500)
 @given(linear_texts)
 @example("a : b : c | d : e")  # one drop each: the tie goes to tripleset
 @example("a : b | b : a | a : b : a")  # MR set drops fewer
 @example("a : b : c\t|\td : e : f")
 def test_infer_record_set_matches_both_parses(text):
-    assert infer_record_set(text) == _both_parses_infer_record_set(text)
+    assert infer_record_set(text) == oracles.infer_record_set(text)
 
 
 # ------------------------------------------------ token index vs full scan
-
-
-def _scan_generate(t2d: RuleBasedT2D, text: str) -> str:
-    """Reference: the scan of every catalog value and entry that the token
-    index replaced."""
-    norm = normalize_text(text).casefold()
-    if not norm:
-        return ""
-    positions: dict[str, int] = {}
-    consumed: list[tuple[int, int]] = []
-    values = {v for e in t2d._entries for v in e.values}
-    for v in sorted(values, key=lambda v: (-len(v), v)):
-        pos = _find_bounded(norm, v, consumed)
-        if pos is not None:
-            positions[v] = pos
-            consumed.append((pos, pos + len(v)))
-    chosen = []
-    for idx, e in enumerate(t2d._entries):
-        if all(v in positions for v in e.values) and (
-            e.evidence is None or _find_bounded(norm, e.evidence, ()) is not None
-        ):
-            chosen.append((min(positions[v] for v in e.values), idx, e.record))
-    if not chosen:
-        return ""
-    chosen.sort(key=lambda t: (t[0], t[1]))
-    return render_records([r for _, _, r in chosen])
 
 
 # Small pools so values collide, nest ("New York" / "york") and are shared
@@ -260,7 +234,7 @@ def _check_index_against_scan(data, values, atoms):
     )
     parts = data.draw(st.lists(st.tuples(piece, st.sampled_from(_JOINERS)), max_size=10))
     text = "".join(w + j for w, j in parts)
-    assert t2d.generate(text) == _scan_generate(t2d, text)
+    assert t2d.generate(text) == oracles.t2d_generate(catalog, text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -286,9 +260,9 @@ def test_rule_t2d_index_matches_full_scan_on_dart_like_catalog():
         d2t.generate(linearize(a)) + " " + d2t.generate(linearize(b))
         for a, b in zip(sets, sets[1:])
     ]
-    assert any(_scan_generate(t2d, t) for t in texts)
-    for text in texts:
-        assert t2d.generate(text) == _scan_generate(t2d, text)
+    want = [oracles.t2d_generate(sets, t) for t in texts]
+    assert any(want)
+    assert [t2d.generate(t) for t in texts] == want
 
 
 def test_token_pattern_is_isalnum_runs():

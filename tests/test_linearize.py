@@ -5,10 +5,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from conftest import DART_SOURCE, E2E_SOURCE, linear_texts, random_record_set
 from d2t_selftrain import (
     DelinearizeError,
-    DelinearizeResult,
     LinearizationError,
     Mr,
     RecordFieldError,
@@ -20,7 +20,6 @@ from d2t_selftrain import (
     linearize,
     render_records,
 )
-from d2t_selftrain.records import FIELD_SEP, RECORD_SEP, normalize_text
 
 
 def test_tripleset_golden_string(dart_records):
@@ -183,31 +182,6 @@ def test_round_trip_property_separator_characters(rows):
     assert out.dropped == 0
 
 
-def _renormalising_delinearize(t, kind):
-    """Verbatim copy of the parser that normalised every field again."""
-    n_fields = 3 if kind is RecordKind.TRIPLESET else 2
-    make = Triple if kind is RecordKind.TRIPLESET else Mr
-    records = []
-    dropped = 0
-    text = normalize_text(t)
-    segments = text.split(RECORD_SEP) if text else []
-    for seg in segments:
-        fields = [normalize_text(f) for f in seg.split(FIELD_SEP)]
-        if len(fields) != n_fields or not all(fields):
-            dropped += 1
-            continue
-        try:
-            records.append(make(*fields))
-        except RecordFieldError:
-            dropped += 1
-    if not records:
-        raise DelinearizeError(
-            f"no parseable {kind.value} segment in {t!r} ({dropped} dropped)",
-            dropped=dropped,
-        )
-    return DelinearizeResult(RecordSet(tuple(records), kind), dropped)
-
-
 def _outcome(parse, text, kind):
     try:
         return parse(text, kind)
@@ -223,4 +197,4 @@ def _outcome(parse, text, kind):
 def test_delinearize_matches_renormalising_parser(text, kind):
     # segments of normalised text split at space-edged separators are
     # normalised already, so the fields need no second pass
-    assert _outcome(delinearize, text, kind) == _outcome(_renormalising_delinearize, text, kind)
+    assert _outcome(delinearize, text, kind) == _outcome(oracles.delinearize, text, kind)

@@ -13,8 +13,10 @@ from d2t_selftrain import (
     Direction,
     EpochError,
     EpochTrace,
+    Example,
     Method,
     ModelServer,
+    Mr,
     Orchestrator,
     Origin,
     Pair,
@@ -27,6 +29,7 @@ from d2t_selftrain import (
     Strategy,
     Triple,
     external_handle,
+    linearize,
     strategy_for,
     synthetic_dataset,
 )
@@ -115,6 +118,26 @@ class TestOrchestratorSetup:
         )
         cfg = make_config((train, val, one), epochs=2)
         with pytest.raises(DatasetError, match="test split needs at least 2 examples"):
+            Orchestrator(cfg).run()
+
+    @pytest.mark.parametrize("mixed", range(3), ids=["train", "validation", "test"])
+    def test_mixed_record_kinds_rejected_before_training(self, monkeypatch, mixed):
+        # refused before any training: T2D output is parsed as the first
+        # train example's kind, so a mix would fail mid-run
+        splits = list(synthetic_dataset(30, 6, 6))
+        d2t, t2d = rule_handles(splits)
+        mr = RecordSet((Mr("name", "The Inn"), Mr("food", "English")), RecordKind.MR_SET)
+        split = splits[mixed]
+        tail = Example(mr, linearize(mr), "The Inn serves English food.")
+        splits[mixed] = DatasetSplit(split.name, split.examples[:-1] + (tail,))
+        monkeypatch.setattr(
+            "d2t_selftrain.pipeline.train_batch",
+            lambda *a, **k: pytest.fail("trained before the record kinds were checked"),
+        )
+        train, val, test = splits
+        cfg = RunConfig(method=Method.SELF_MEM, d2t=d2t, t2d=t2d, train=train, val=val, test=test)
+        at = f"{split.name.value} example {len(split) - 1} is a mrset"
+        with pytest.raises(DatasetError, match=at):
             Orchestrator(cfg).run()
 
     def test_plan_matches_config(self, small_splits):

@@ -89,12 +89,6 @@ def test_example_requires_nonempty_target():
         Example(rs, "a : b : c", "   ")
 
 
-def test_example_dict_round_trip():
-    rs = RecordSet((Triple("a", "b", "c"),), RecordKind.TRIPLESET)
-    ex = Example(rs, "a : b : c", "a b c.")
-    assert Example.from_dict(ex.to_dict()) == ex
-
-
 def test_pair_key_ignores_origin():
     a = Pair("s", "t", Origin.GOLD)
     b = Pair("s", "t", Origin.REMAINING)

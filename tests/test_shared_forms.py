@@ -1,7 +1,7 @@
 """Each text is read once: evaluation analyses every distinct text once and
 shares it across the metrics, and the value checks fold each text and each
-value once. Both must give exactly the scores and verdicts of the code that
-re-derived them per use."""
+value once. Both must give exactly the scores and verdicts of the oracles in
+`tests/oracles.py`, which derive them afresh per use from plain strings."""
 
 import random
 from collections import Counter
@@ -9,7 +9,7 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-import metrics_before_shared_analysis as before
+import oracles
 from conftest import random_record_set
 from d2t_selftrain import (
     Condition,
@@ -20,11 +20,9 @@ from d2t_selftrain import (
     optimize,
     optimize_target,
     selection,
-    split_sentences,
     value_in_text,
 )
 from d2t_selftrain import metrics
-from d2t_selftrain.optimize import OptimizationOutcome
 
 # ---------------------------------------------------------------- evaluation
 
@@ -75,7 +73,7 @@ def test_evaluate_corpus_equals_per_metric_reads(corpus, smoothing, seed):
     sources = [random_record_set(rng) for _ in cands]
     recon = [x if rng.random() < 0.5 else None for x in sources]
     got = evaluate_corpus(cands, refs, sources=sources, reconstructions=recon, smoothing=smoothing)
-    want = before.evaluate_corpus(cands, refs, sources=sources, reconstructions=recon, smoothing=smoothing)
+    want = oracles.evaluate_corpus(cands, refs, sources, recon, smoothing)
     assert got == want
 
 
@@ -84,14 +82,14 @@ def test_evaluate_corpus_equals_per_metric_reads(corpus, smoothing, seed):
 @example(corpus=_SHARED)
 def test_each_public_metric_equals_its_per_metric_read(corpus):
     cands, refs = corpus
-    assert metrics.bleu(cands, refs) == before.bleu(cands, refs)
-    assert metrics.bleu(cands, refs, smoothing=True) == before.bleu(cands, refs, smoothing=True)
-    assert metrics.nist(cands, refs) == before.nist(cands, refs)
-    assert metrics.cider(cands, refs) == before.cider(cands, refs)
+    assert metrics.bleu(cands, refs) == oracles.bleu(cands, refs)
+    assert metrics.bleu(cands, refs, smoothing=True) == oracles.bleu(cands, refs, smoothing=True)
+    assert metrics.nist(cands, refs) == oracles.nist(cands, refs)
+    assert metrics.cider(cands, refs) == oracles.cider(cands, refs)
     for c, rs in zip(cands, refs):
-        assert metrics.meteor(c, rs) == before.meteor(c, rs)
-        assert metrics.rouge_l(c, rs) == before.rouge_l(c, rs)
-        assert metrics.ter(c, rs) == before.ter(c, rs)
+        assert metrics.meteor(c, rs) == oracles.meteor(c, rs)
+        assert metrics.rouge_l(c, rs) == oracles.rouge_l(c, rs)
+        assert metrics.ter(c, rs) == oracles.ter(c, rs)
 
 
 def test_evaluate_corpus_analyses_each_distinct_text_once(monkeypatch):
@@ -122,43 +120,21 @@ def test_sentence_metrics_build_no_ngram_counts(monkeypatch):
 
     monkeypatch.setattr(metrics, "_ngrams", refuse)
     cand, refs = "the cats sat.", ["the cat sat on the mat.", "a cat"]
-    assert metrics.meteor(cand, refs) == before.meteor(cand, refs)
-    assert metrics.rouge_l(cand, refs) == before.rouge_l(cand, refs)
-    assert metrics.ter(cand, refs) == before.ter(cand, refs)
+    assert metrics.meteor(cand, refs) == oracles.meteor(cand, refs)
+    assert metrics.rouge_l(cand, refs) == oracles.rouge_l(cand, refs)
+    assert metrics.ter(cand, refs) == oracles.ter(cand, refs)
 
 
 # ---------------------------------------------------------------- value checks
 
 
-def _optimize_target_per_pair(values, y_prime):
-    """`optimize_target` as it was before it folded each text once, with the
-    values passed in, kept verbatim otherwise."""
-    sentences = split_sentences(y_prime)
-    kept: list[str] = []
-    matched: list[str] = []
-    matched_keys: set[str] = set()
-    for s in sentences:
-        for v in values:
-            k = v.casefold()
-            if k in matched_keys:
-                continue
-            if value_in_text(v, s):
-                matched_keys.add(k)
-                matched.append(v)
-                if s not in kept:
-                    kept.append(s)
-    if len(matched) == len(values) and values:
-        optimized = " ".join(kept)
-        return OptimizationOutcome(optimized, optimized != y_prime, tuple(matched), tuple(kept))
-    return OptimizationOutcome(y_prime, False, tuple(matched), tuple(kept))
-
-
 def _check_against_value_in_text(x, values, text):
-    want = [value_in_text(v, text) for v in values]
-    assert metrics.epm(x, text) == (sum(want) / len(values) if values else 0.0)
+    want = [oracles.value_in_text(v, text) for v in values]
+    assert [value_in_text(v, text) for v in values] == want
+    assert metrics.epm(x, text) == oracles.epm(values, text)
     failed = selection._judge_candidate(x, "gold", text, None)
     assert (Condition.MISSING_SOURCE_VALUE in failed) == (not all(want))
-    assert optimize_target(x, text) == _optimize_target_per_pair(values, text)
+    assert optimize_target(x, text) == oracles.optimize_target(values, text)
 
 
 # whitespace runs, tabs, newlines, sentence ends and case-fold variants:
@@ -197,4 +173,6 @@ def test_folded_value_checks_agree_on_record_values(fields, text):
     if not fields:
         return
     x = RecordSet(tuple(Mr(f"k{i}", f) for i, f in enumerate(fields)), RecordKind.MR_SET)
-    _check_against_value_in_text(x, list(metrics.extract_source_values(x)), text)
+    values = oracles.source_values(x)
+    assert list(metrics.extract_source_values(x)) == values
+    _check_against_value_in_text(x, values, text)
