@@ -39,7 +39,6 @@ from .gateway import (
 from .linearize import (
     DelinearizeResult,
     delinearize,
-    extract_source_values,
     linearize,
     render_records,
 )
@@ -76,7 +75,6 @@ from .records import (
     SelfMemTuple,
     Triple,
     normalize_text,
-    value_in_text,
 )
 from .selection import (
     CaseId,
@@ -140,7 +138,6 @@ __all__ = [
     "epm",
     "evaluate_corpus",
     "external_handle",
-    "extract_source_values",
     "generate_batch",
     "judge_pair",
     "linearize",
@@ -160,5 +157,4 @@ __all__ = [
     "ter",
     "tokenize",
     "train_batch",
-    "value_in_text",
 ]

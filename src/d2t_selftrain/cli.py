@@ -168,7 +168,7 @@ def _cmd_run(args) -> int:
 def _read_lines(path: Path) -> list[str]:
     # "\n" only: str.splitlines also breaks at U+2028, U+0085 and \x1c-\x1e,
     # which can sit inside a line and would shift every later line
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     return text.removesuffix("\n").split("\n") if text else []
 
 

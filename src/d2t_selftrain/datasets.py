@@ -47,7 +47,7 @@ def load_dart(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Data
     multiple Examples sharing one source.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -133,7 +133,7 @@ def _parse_mr(mr: str) -> list[tuple[str, str]]:
 def load_e2e(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> DatasetSplit:
     """Parse the E2E CSV format with columns (mr, ref)."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"mr", "ref"} <= set(reader.fieldnames):
                 raise DatasetError(f"{path} lacks the mr/ref CSV columns")

@@ -4,7 +4,8 @@ Triplesets render as "s : p : o | s : p : o | ...". MR sets render each pair
 as "k : v" with the common-subject pair placed first, e.g.
 "name : The Golden Curry | food : English | ...". The inverse parser exists
 because text-to-data model output arrives as linearized strings and must be
-interpreted even when partially malformed.
+interpreted even when partially malformed. What a text about a record set
+must mention is the set's own `RecordSet.source_values`.
 """
 
 from __future__ import annotations
@@ -87,14 +88,3 @@ def delinearize(t: str, kind: RecordKind) -> DelinearizeResult:
         )
     return DelinearizeResult(RecordSet(tuple(records), kind), dropped)
 
-
-def extract_source_values(rs: RecordSet) -> tuple[str, ...]:
-    """Values a generated target is expected to contain, in first-occurrence
-    order: subjects and objects for triplesets, the subject name and all
-    values for MR sets. Predicates and keys are not source values.
-    """
-    first: dict[str, str] = {}  # case-folded value -> its first spelling
-    for r in rs.records:
-        for v in r.values:
-            first.setdefault(v.casefold(), v)
-    return tuple(first.values())

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import MetricError, VariantMismatchError
-from .linearize import extract_source_values
-from .records import RecordSet, contains_folded, fold, normalize_text, record_key
+from .records import RecordSet, fold, normalize_text
 from .stemming import stem
 
 Ngram = tuple[str, ...]
@@ -124,6 +123,8 @@ def bleu(
     unless add-one smoothing (n >= 2) is enabled for tiny corpora.
     """
     _check_aligned(candidates, references)
+    if max_n < 1:
+        raise MetricError(f"bleu needs max_n >= 1, got {max_n}")
     clipped = [0] * max_n
     totals = [0] * max_n
     cand_len = 0
@@ -555,11 +556,11 @@ def ter(candidate: str, references: Sequence[str]) -> float:
 def epm(x: RecordSet, y: str) -> float:
     """Fraction of the source values of x present in y (normalized,
     case-folded substring match)."""
-    values = extract_source_values(x)
+    values = x.folded_values
     if not values:
         return 0.0
     text = fold(y)
-    return sum(1 for v in values if contains_folded(text, fold(v))) / len(values)
+    return sum(1 for v in values if v in text) / len(values)
 
 
 @dataclass(frozen=True)
@@ -583,8 +584,7 @@ def osf(input_kb: RecordSet, reconstructed_kb: RecordSet) -> OsfScore:
         raise VariantMismatchError(
             f"cannot compare {input_kb.kind.value} with {reconstructed_kb.kind.value}"
         )
-    in_keys = {record_key(r) for r in input_kb.records}
-    out_keys = {record_key(r) for r in reconstructed_kb.records}
+    in_keys, out_keys = input_kb.record_keys, reconstructed_kb.record_keys
     matches = len(in_keys & out_keys)
     precision = matches / len(out_keys) if out_keys else 0.0
     recall = matches / len(in_keys) if in_keys else 0.0

@@ -12,8 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .linearize import extract_source_values
-from .records import RecordSet, contains_folded, fold, normalize_text
+from .records import RecordSet, fold, normalize_text
 
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
 
@@ -56,15 +55,15 @@ def optimize_target(x: RecordSet, y_prime: str) -> OptimizationOutcome:
     target (changed=True unless the join is identical); otherwise the target
     is returned verbatim with changed=False.
     """
-    values = extract_source_values(x)
+    values = x.source_values
     # values are distinct under case-folding, so each matches at most once
-    unmatched = {v: fold(v) for v in values}
+    unmatched = dict(zip(values, x.folded_values))
     kept: list[str] = []
     matched: list[str] = []
     for s in split_sentences(y_prime):
         text = fold(s)
         for v, k in list(unmatched.items()):
-            if contains_folded(text, k):
+            if k in text:
                 del unmatched[v]
                 matched.append(v)
                 if s not in kept:

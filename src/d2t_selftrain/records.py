@@ -11,12 +11,16 @@ and shift the fields.
 Each record variant owns its shape: `fields` in linear order, `values` (the
 fields a text about the record should mention) and `label` (the field that
 says how they relate); `make_record` builds the variant of a RecordKind.
+A RecordSet owns the forms a text is checked against: its `source_values`,
+their `folded_values` (compared with `fold` of the text) and its
+`record_keys`, each derived once per instance on first use.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import RecordFieldError, VariantMismatchError
@@ -33,21 +37,6 @@ def normalize_text(t: str) -> str:
 def fold(t: str) -> str:
     """The form value matching compares: whitespace-normalized, case-folded."""
     return normalize_text(t).casefold()
-
-
-def contains_folded(text: str, value: str) -> bool:
-    """`value_in_text` for a text and a value already folded, so callers that
-    check many values against one text fold each only once."""
-    return bool(value) and value in text
-
-
-def value_in_text(value: str, text: str) -> bool:
-    """Substring containment after whitespace normalization and case-folding.
-
-    Case-folded because model decoders freely re-case surface forms. An empty
-    value never matches.
-    """
-    return contains_folded(fold(text), fold(value))
 
 
 def _clean_field(name: str, raw: str) -> str:
@@ -161,6 +150,33 @@ class RecordSet:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    # Derived on first use and stored on the instance, so a source judged in
+    # every epoch and again by the audit derives them once. They are not
+    # fields: equality, hashing, repr and to_dict never see them.
+
+    @cached_property
+    def source_values(self) -> tuple[str, ...]:
+        """Values a text about the records is expected to contain, in
+        first-occurrence order: subjects and objects for triplesets, every
+        value for MR sets, the first spelling of each under case-folding.
+        Predicates and keys are not source values."""
+        first: dict[str, str] = {}
+        for r in self.records:
+            for v in r.values:
+                first.setdefault(v.casefold(), v)
+        return tuple(first.values())
+
+    @cached_property
+    def folded_values(self) -> tuple[str, ...]:
+        """`fold` of each source value, aligned with `source_values`; fields
+        are whitespace-normalized already, so this is their case-fold."""
+        return tuple(v.casefold() for v in self.source_values)
+
+    @cached_property
+    def record_keys(self) -> frozenset[tuple[str, ...]]:
+        """The `record_key` of each record."""
+        return frozenset(map(record_key, self.records))
 
     @property
     def is_empty(self) -> bool:

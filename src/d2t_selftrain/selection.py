@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import AllocationError, EmptySubsetError
-from .linearize import extract_source_values
 from .metrics import osf
 from .records import (
     Example,
@@ -30,8 +29,6 @@ from .records import (
     Pair,
     RecordSet,
     SelfMemTuple,
-    contains_folded,
-    fold,
     normalize_text,
 )
 
@@ -76,7 +73,7 @@ def _judge_candidate(
     if not len(candidate) < len(normalize_text(y)):
         failed.append(Condition.LEN_NOT_SHORTER)
     text = candidate.casefold()
-    if not all(contains_folded(text, fold(v)) for v in extract_source_values(x)):
+    if not all(v in text for v in x.folded_values):
         failed.append(Condition.MISSING_SOURCE_VALUE)
     # Subset check via reconstruction precision: 1.0 means every reconstructed
     # record matches a source record. An empty or missing reconstruction

@@ -2,8 +2,10 @@
 
 Each function here is the plainest form of what a kernel in `src/` computes,
 and is named after it; `edit_distance` checks `metrics._advance` and
-`metrics._lane_distances`, `t2d_generate` checks `RuleBasedT2D.generate`, and
-`value_in_text` the folded value checks of selection, the optimizer and EPM.
+`metrics._lane_distances`, `t2d_generate` checks `RuleBasedT2D.generate`,
+`source_values` and `value_in_text` check a RecordSet's `source_values` and
+`folded_values` as selection, the optimizer and EPM read them, and `osf`
+checks the `record_keys` that `metrics.osf` compares.
 A change that replaces a kernel compares against its oracle here and adds no
 copy of the old code. No oracle imports a kernel it checks
 (`tests/test_oracles.py`). The metric oracles add their floating-point terms
@@ -13,6 +15,7 @@ in the kernels' order, so the two agree exactly.
 from __future__ import annotations
 
 import math
+import unicodedata
 from collections import Counter
 from typing import Optional, Sequence
 
@@ -26,10 +29,8 @@ from d2t_selftrain import (
     RecordKind,
     RecordSet,
     Triple,
-    osf,
     render_records,
     split_sentences,
-    tokenize,
 )
 from d2t_selftrain.metrics import _meteor_single
 from d2t_selftrain.optimize import OptimizationOutcome
@@ -139,6 +140,36 @@ def ter_edits(hyp: Sequence[str], ref: Sequence[str]) -> int:
 
 
 # ---------------------------------------------------------------- metrics
+
+
+def tokenize(text: str) -> list[str]:
+    """The case-folded text's whitespace-separated words, each with the
+    punctuation characters (Unicode category P*) at its start and at its end
+    split off one per token, in order."""
+    tokens = []
+    for word in text.casefold().split():
+        start, end = 0, len(word)
+        while start < end and unicodedata.category(word[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(word[end - 1]).startswith("P"):
+            end -= 1
+        tokens += list(word[:start])
+        if start < end:
+            tokens.append(word[start:end])
+        tokens += list(word[end:])
+    return tokens
+
+
+def osf(x: RecordSet, reconstruction: RecordSet) -> OsfScore:
+    """Precision, recall and F1 of the reconstruction's records against x's,
+    each side a set of `record_key`s."""
+    in_keys = {record_key(r) for r in x.records}
+    out_keys = {record_key(r) for r in reconstruction.records}
+    matches = len(in_keys & out_keys)
+    precision = matches / len(out_keys) if out_keys else 0.0
+    recall = matches / len(in_keys) if in_keys else 0.0
+    total = precision + recall
+    return OsfScore(precision, recall, 2 * precision * recall / total if total else 0.0)
 
 
 def _grams(tokens: Sequence[str], n: int) -> Counter:

@@ -141,8 +141,8 @@ class TestOptimizeCommand:
 
 
 class TestEvalCommand:
-    def _write(self, path, lines):
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def _write(self, path, lines, encoding="utf-8"):
+        path.write_text("\n".join(lines) + "\n", encoding=encoding)
         return str(path)
 
     def test_text_metrics_only(self, tmp_path, capsys):
@@ -191,6 +191,15 @@ class TestEvalCommand:
         # three misaligned items; the tokenizer reads `sep` as a space
         hyp = self._write(tmp_path / "hyp.txt", [f"the cat{sep}sat down", "a dog ran over the hill"])
         refs = self._write(tmp_path / "refs.txt", ["the cat sat down", f"a dog ran{sep}over the hill"])
+        assert main(["eval", "--hyp", hyp, "--refs", refs]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["bleu"] == 1.0
+        assert report["ter"] == 0.0
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        lines = ["the cat sat on the mat", "a dog ran over the hill"]
+        hyp = self._write(tmp_path / "hyp.txt", lines, "utf-8-sig")
+        refs = self._write(tmp_path / "refs.txt", lines, "utf-8-sig")
         assert main(["eval", "--hyp", hyp, "--refs", refs]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["bleu"] == 1.0

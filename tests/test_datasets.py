@@ -6,20 +6,19 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from conftest import DART_SOURCE, DART_TARGET, E2E_SOURCE, E2E_TARGET
 from d2t_selftrain import (
     DatasetError,
     Direction,
     RecordKind,
     delinearize,
-    extract_source_values,
     generate_batch,
     load_dart,
     load_e2e,
     normalize_text,
     rule_based_handle,
     synthetic_dataset,
-    value_in_text,
 )
 from d2t_selftrain.datasets import SplitName, _parse_mr
 
@@ -38,15 +37,15 @@ GOLDEN_E2E_MR = (
 )
 
 
-def _write_dart(tmp_path, entries):
+def _write_dart(tmp_path, entries, encoding="utf-8"):
     path = tmp_path / "dart.json"
-    path.write_text(json.dumps(entries), encoding="utf-8")
+    path.write_text(json.dumps(entries), encoding=encoding)
     return path
 
 
-def _write_e2e(tmp_path, rows, header=("mr", "ref")):
+def _write_e2e(tmp_path, rows, header=("mr", "ref"), encoding="utf-8"):
     path = tmp_path / "e2e.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding=encoding, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -66,6 +65,10 @@ class TestLoadDart:
         assert len(ex.source.records) == 3
         # the stored source string parses back to the stored record set
         assert delinearize(ex.source_text, RecordKind.TRIPLESET).record_set == ex.source
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain = load_dart(_write_dart(tmp_path, [GOLDEN_DART_ENTRY]))
+        assert load_dart(_write_dart(tmp_path, [GOLDEN_DART_ENTRY], encoding="utf-8-sig")) == plain
 
     def test_split_name_passthrough(self, tmp_path):
         path = _write_dart(tmp_path, [GOLDEN_DART_ENTRY])
@@ -176,6 +179,12 @@ class TestLoadE2e:
         assert warnings[3].startswith("row 4: unparseable mr")
         assert warnings[4].startswith("row 6: unparseable mr")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        rows = [(GOLDEN_E2E_MR, E2E_TARGET)]
+        assert load_e2e(_write_e2e(tmp_path, rows, encoding="utf-8-sig")) == load_e2e(
+            _write_e2e(tmp_path, rows)
+        )
+
     def test_unbalanced_brackets_warn(self, tmp_path):
         split = load_e2e(_write_e2e(tmp_path, [("name[A", "Ref.")]))
         assert len(split) == 0
@@ -268,8 +277,8 @@ class TestSynthetic:
         splits = synthetic_dataset(n_train=25, n_val=5, n_test=5, seed=8)
         for split in splits:
             for ex in split.examples:
-                for value in extract_source_values(ex.source):
-                    assert value_in_text(value, ex.target)
+                for value in ex.source.source_values:
+                    assert oracles.value_in_text(value, ex.target)
 
     def test_gold_targets_longer_than_rule_output(self):
         # leaves the optimizer and the length condition real work to do

@@ -16,7 +16,6 @@ from d2t_selftrain import (
     RecordSet,
     Triple,
     delinearize,
-    extract_source_values,
     linearize,
     render_records,
 )
@@ -94,7 +93,7 @@ def test_render_records_is_permissive():
 
 
 def test_extract_source_values_tripleset(dart_records):
-    assert extract_source_values(dart_records) == (
+    assert dart_records.source_values == (
         "Clapham",
         "20 August",
         "20 November",
@@ -103,7 +102,7 @@ def test_extract_source_values_tripleset(dart_records):
 
 
 def test_extract_source_values_mr(e2e_records):
-    assert extract_source_values(e2e_records) == (
+    assert e2e_records.source_values == (
         "The Golden Curry",
         "English",
         "5 out of 5",
@@ -118,7 +117,8 @@ def test_extract_source_values_dedupes_casefolded():
         (Triple("Alpha", "P", "beta"), Triple("alpha", "Q", "Gamma")),
         RecordKind.TRIPLESET,
     )
-    assert extract_source_values(rs) == ("Alpha", "beta", "Gamma")
+    assert rs.source_values == ("Alpha", "beta", "Gamma")
+    assert rs.folded_values == ("alpha", "beta", "gamma")
 
 
 def test_round_trip_randomized_sample():

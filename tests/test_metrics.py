@@ -124,6 +124,11 @@ def test_bleu_alignment_errors():
         bleu([], [])
 
 
+def test_bleu_rejects_max_n_below_one():
+    with pytest.raises(MetricError, match="max_n"):
+        bleu(["a"], [["a"]], max_n=0)
+
+
 # ---------------------------------------------------------------- NIST
 
 

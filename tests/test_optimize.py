@@ -9,7 +9,6 @@ from d2t_selftrain import (
     RecordKind,
     RecordSet,
     Triple,
-    extract_source_values,
     optimize_target,
     split_sentences,
 )
@@ -121,5 +120,5 @@ def test_randomized_invariants():
             assert out.optimized != y
             # coverage soundness: every value is present in the output
             folded = out.optimized.casefold()
-            assert all(v.casefold() in folded for v in extract_source_values(x))
+            assert all(v.casefold() in folded for v in x.source_values)
             assert out.optimized == " ".join(out.kept_sentences)

@@ -16,8 +16,12 @@ _KERNELS = {
     "_Text",
     "_analysed",
     "_max_ref_counts",
-    "contains_folded",
     "infer_record_set",
+    "osf",
+    "tokenize",
+    "source_values",
+    "folded_values",
+    "record_keys",
 }
 
 

@@ -14,7 +14,6 @@ from d2t_selftrain import (
     Triple,
     VariantMismatchError,
     normalize_text,
-    value_in_text,
 )
 from d2t_selftrain.records import record_key
 
@@ -23,16 +22,6 @@ def test_normalize_text_collapses_whitespace():
     assert normalize_text("  a\t b\n\nc  ") == "a b c"
     assert normalize_text("") == ""
     assert normalize_text(" \n ") == ""
-
-
-def test_value_in_text_casefolds_by_default():
-    assert value_in_text("Wolverhampton", "the wolverhampton wanderers")
-    assert value_in_text("a  b", "x a b y")  # normalized before matching
-
-
-def test_value_in_text_empty_value_never_matches():
-    assert not value_in_text("", "anything")
-    assert not value_in_text("   ", "anything")
 
 
 def test_triple_normalizes_fields():

@@ -311,6 +311,26 @@ def test_derive_seed_matches_independent_recomputation():
     assert derive_seed(1, "a") != derive_seed(2, "a")
 
 
+def test_judging_a_tuple_again_derives_no_record_keys(monkeypatch):
+    # the select pass and then the audit judge the same tuple; its record
+    # sets derive their keys, the only reader of a triple's fields here, on
+    # the first pass only
+    read = []
+    fields = Triple.fields
+
+    def counted(r):
+        read.append(r)
+        return fields.fget(r)
+
+    x = RecordSet((Triple("A", "P", "B"),), RecordKind.TRIPLESET)
+    t = tup("A P B.", x_prime=RecordSet((Triple("a", "p", "b"),), RecordKind.TRIPLESET), x=x)
+    monkeypatch.setattr(Triple, "fields", property(counted))
+    first = judge_pair(t)
+    assert first.accepted and len(read) == 2
+    assert judge_pair(t) == first
+    assert len(read) == 2
+
+
 def test_randomized_judgements_are_deterministic():
     rng = random.Random(0)
     for _ in range(50):

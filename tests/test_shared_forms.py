@@ -1,11 +1,11 @@
 """Each text is read once: evaluation analyses every distinct text once and
-shares it across the metrics, and the value checks fold each text and each
-value once. Both must give exactly the scores and verdicts of the oracles in
-`tests/oracles.py`, which derive them afresh per use from plain strings."""
+shares it across the metrics, and the value checks fold each text once and
+read each source's folded values from its RecordSet. Both must give exactly
+the scores and verdicts of the oracles in `tests/oracles.py`, which derive
+them afresh per use from plain strings."""
 
 import random
 from collections import Counter
-from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,12 +17,11 @@ from d2t_selftrain import (
     RecordKind,
     RecordSet,
     evaluate_corpus,
-    optimize,
     optimize_target,
     selection,
-    value_in_text,
 )
 from d2t_selftrain import metrics
+from d2t_selftrain.records import fold
 
 # ---------------------------------------------------------------- evaluation
 
@@ -71,7 +70,11 @@ def test_evaluate_corpus_equals_per_metric_reads(corpus, smoothing, seed):
     cands, refs = corpus
     rng = random.Random(seed)
     sources = [random_record_set(rng) for _ in cands]
-    recon = [x if rng.random() < 0.5 else None for x in sources]
+    # a reconstruction is missing, exact, or shares only x's first record
+    recon = [
+        rng.choice([None, x, RecordSet(x.records[:1] + random_record_set(rng, x.kind).records, x.kind)])
+        for x in sources
+    ]
     got = evaluate_corpus(cands, refs, sources=sources, reconstructions=recon, smoothing=smoothing)
     want = oracles.evaluate_corpus(cands, refs, sources, recon, smoothing)
     assert got == want
@@ -127,52 +130,31 @@ def test_sentence_metrics_build_no_ngram_counts(monkeypatch):
 
 # ---------------------------------------------------------------- value checks
 
-
-def _check_against_value_in_text(x, values, text):
-    want = [oracles.value_in_text(v, text) for v in values]
-    assert [value_in_text(v, text) for v in values] == want
-    assert metrics.epm(x, text) == oracles.epm(values, text)
-    failed = selection._judge_candidate(x, "gold", text, None)
-    assert (Condition.MISSING_SOURCE_VALUE in failed) == (not all(want))
-    assert optimize_target(x, text) == oracles.optimize_target(values, text)
-
-
 # whitespace runs, tabs, newlines, sentence ends and case-fold variants:
 # "ß" and "ẞ" fold to "ss", "İ" to "i" plus a combining dot
 _FOLD_ALPHABET = "aAsSßẞİi \t\n.!?"
-_STAND_IN = RecordSet((Mr("name", "stand-in"),), RecordKind.MR_SET)
 
 
 @settings(max_examples=500, deadline=None)
 @given(
-    # distinct under case-folding, as extract_source_values returns them
-    values=st.lists(st.text(_FOLD_ALPHABET, max_size=6), max_size=4, unique_by=str.casefold),
-    text=st.text(_FOLD_ALPHABET, max_size=40),
-)
-@example(values=["ß"], text="SS")
-@example(values=["SS", "ẞ a"], text="ß\t\nA. ss a!")
-@example(values=["a  b"], text="A\tB")
-@example(values=["", " \t", "a"], text="a")
-@example(values=["İ"], text="i̇ x.")
-def test_folded_value_checks_agree_with_value_in_text(values, text):
-    # values are patched in raw, so unnormalized and empty ones are covered
-    get = lambda _x: tuple(values)  # noqa: E731
-    with mock.patch.object(metrics, "extract_source_values", get), mock.patch.object(
-        selection, "extract_source_values", get
-    ), mock.patch.object(optimize, "extract_source_values", get):
-        _check_against_value_in_text(_STAND_IN, values, text)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
     fields=st.lists(st.text(_FOLD_ALPHABET, max_size=6), min_size=1, max_size=4),
     text=st.text(_FOLD_ALPHABET, max_size=40),
 )
+@example(fields=["ß"], text="SS")
+@example(fields=["SS", "ẞ a"], text="ß\t\nA. ss a!")
+@example(fields=["a  b"], text="A\tB")
+@example(fields=["a"], text="a")
+@example(fields=["İ"], text="i̇ x.")
 def test_folded_value_checks_agree_on_record_values(fields, text):
     fields = [f for f in fields if f.split()]
     if not fields:
         return
     x = RecordSet(tuple(Mr(f"k{i}", f) for i, f in enumerate(fields)), RecordKind.MR_SET)
     values = oracles.source_values(x)
-    assert list(metrics.extract_source_values(x)) == values
-    _check_against_value_in_text(x, values, text)
+    assert list(x.source_values) == values
+    want = [oracles.value_in_text(v, text) for v in values]
+    assert [v in fold(text) for v in x.folded_values] == want
+    assert metrics.epm(x, text) == oracles.epm(values, text)
+    failed = selection._judge_candidate(x, "gold", text, None)
+    assert (Condition.MISSING_SOURCE_VALUE in failed) == (not all(want))
+    assert optimize_target(x, text) == oracles.optimize_target(values, text)
