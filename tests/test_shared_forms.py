@@ -7,6 +7,7 @@ them afresh per use from plain strings."""
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
@@ -14,6 +15,7 @@ from conftest import random_record_set
 from d2t_selftrain import (
     Condition,
     Mr,
+    RecordFieldError,
     RecordKind,
     RecordSet,
     evaluate_corpus,
@@ -130,9 +132,48 @@ def test_sentence_metrics_build_no_ngram_counts(monkeypatch):
 
 # ---------------------------------------------------------------- value checks
 
+def _check_against_value_in_text(x, text):
+    values = oracles.source_values(x)
+    assert list(x.source_values) == values
+    want = [oracles.value_in_text(v, text) for v in values]
+    assert [v in fold(text) for v in x.folded_values] == want
+    assert metrics.epm(x, text) == oracles.epm(values, text)
+    failed = selection._judge_candidate(x, "gold", text, None)
+    assert (Condition.MISSING_SOURCE_VALUE in failed) == (not all(want))
+    assert optimize_target(x, text) == oracles.optimize_target(values, text)
+
+
 # whitespace runs, tabs, newlines, sentence ends and case-fold variants:
 # "ß" and "ẞ" fold to "ss", "İ" to "i" plus a combining dot
 _FOLD_ALPHABET = "aAsSßẞİi \t\n.!?"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    # raw values, distinct under case-folding, unnormalized and empty ones too
+    values=st.lists(st.text(_FOLD_ALPHABET, max_size=6), max_size=4, unique_by=str.casefold),
+    text=st.text(_FOLD_ALPHABET, max_size=40),
+)
+@example(values=["ß"], text="SS")
+@example(values=["SS", "ẞ a"], text="ß\t\nA. ss a!")
+@example(values=["a  b"], text="A\tB")
+@example(values=["", " \t", "a"], text="a")
+@example(values=["İ"], text="i̇ x.")
+def test_folded_value_checks_agree_with_value_in_text(values, text):
+    # a value empty after whitespace normalization never reaches a check:
+    # no record holds it
+    kept = [v for v in values if v.split()]
+    for v in values:
+        if not v.split():
+            with pytest.raises(RecordFieldError):
+                Mr("k", v)
+    if not kept:
+        return
+    x = RecordSet(tuple(Mr(f"k{i}", v) for i, v in enumerate(kept)), RecordKind.MR_SET)
+    # each raw value's verdict is read off its stored, folded form
+    assert set(x.folded_values) == {fold(v) for v in kept}
+    assert [fold(v) in fold(text) for v in kept] == [oracles.value_in_text(v, text) for v in kept]
+    _check_against_value_in_text(x, text)
 
 
 @settings(max_examples=500, deadline=None)
@@ -150,11 +191,4 @@ def test_folded_value_checks_agree_on_record_values(fields, text):
     if not fields:
         return
     x = RecordSet(tuple(Mr(f"k{i}", f) for i, f in enumerate(fields)), RecordKind.MR_SET)
-    values = oracles.source_values(x)
-    assert list(x.source_values) == values
-    want = [oracles.value_in_text(v, text) for v in values]
-    assert [v in fold(text) for v in x.folded_values] == want
-    assert metrics.epm(x, text) == oracles.epm(values, text)
-    failed = selection._judge_candidate(x, "gold", text, None)
-    assert (Condition.MISSING_SOURCE_VALUE in failed) == (not all(want))
-    assert optimize_target(x, text) == oracles.optimize_target(values, text)
+    _check_against_value_in_text(x, text)
