@@ -1,10 +1,11 @@
 """Dataset loading: DART JSON, E2E CSV, and a bundled synthetic corpus.
 
-Loaders are strict about structure (unreadable files raise) but tolerant per
-entry: anything malformed is skipped and reported in load_warnings, and no
-record field is ever fabricated or repaired. The synthetic corpus generates
-clean tripleset examples whose gold targets are verbose but value-complete,
-so the rule-based baselines can exercise every pipeline stage on a desk.
+Loaders are strict about structure (unreadable or non-UTF-8 files raise
+DatasetError) but tolerant per entry: anything malformed is skipped and
+reported in load_warnings, and no record field is ever fabricated or
+repaired. The synthetic corpus generates clean tripleset examples whose gold
+targets are verbose but value-complete, so the rule-based baselines can
+exercise every pipeline stage on a desk.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ def load_dart(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Data
         raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
@@ -140,6 +143,8 @@ def load_e2e(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Datas
             rows = list(reader)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise DatasetError(f"{path} is not parseable CSV: {exc}") from exc
 

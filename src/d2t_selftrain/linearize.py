@@ -6,20 +6,25 @@ as "k : v" with the common-subject pair placed first, e.g.
 because text-to-data model output arrives as linearized strings and must be
 interpreted even when partially malformed. What a text about a record set
 must mention is the set's own `RecordSet.source_values`.
+
+The parser normalises a linear string once. Normalised text has no leading,
+trailing or double space, so the fields cut from it at the separators are
+normalised already; only where a field's edge meets a separator can it be
+invalid, and that is all `records._record_from_segment` checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DelinearizeError, LinearizationError, RecordFieldError
+from .errors import DelinearizeError, LinearizationError
 from .records import (
     FIELD_SEP,
     RECORD_SEP,
     Record,
     RecordKind,
     RecordSet,
-    make_record,
+    _record_from_segment,
     normalize_text,
 )
 
@@ -70,21 +75,23 @@ def delinearize(t: str, kind: RecordKind) -> DelinearizeResult:
     """Parse a linearized string back into a record set.
 
     Input may be arbitrary model output: segments that do not split into the
-    exact field count for `kind` are dropped and counted, never fabricated.
+    exact field count for `kind`, or whose fields border on a separator, are
+    dropped and counted, never fabricated.
     Raises DelinearizeError (carrying the drop count) when nothing parses.
     """
     records: list[Record] = []
     dropped = 0
     text = normalize_text(t)
     for seg in text.split(RECORD_SEP) if text else ():
-        try:
-            records.append(make_record(kind, seg.split(FIELD_SEP)))
-        except RecordFieldError:
+        r = _record_from_segment(kind, seg)
+        if r is None:
             dropped += 1
+        else:
+            records.append(r)
     if not records:
         raise DelinearizeError(
             f"no parseable {kind.value} segment in {t!r} ({dropped} dropped)",
             dropped=dropped,
         )
-    return DelinearizeResult(RecordSet(tuple(records), kind), dropped)
+    return DelinearizeResult(RecordSet._of_kind(tuple(records), kind), dropped)
 

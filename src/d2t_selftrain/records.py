@@ -6,7 +6,9 @@ sequences used by the linear string format (" | " and " : ") are reserved and
 rejected inside record fields at construction time, because the format defines
 no escaping scheme. Nor may a field start with ": " or "| ", end with " :" or
 " |", or be ":" or "|" alone: next to a separator it would form another one
-and shift the fields.
+and shift the fields. `delinearize` builds records from fields cut out of
+normalised text through `_record_from_segment`, which skips the second
+normalisation but rejects exactly the fields construction rejects.
 
 Each record variant owns its shape: `fields` in linear order, `values` (the
 fields a text about the record should mention) and `label` (the field that
@@ -122,6 +124,35 @@ def make_record(kind: RecordKind, fields: Sequence[str]) -> Record:
     return make(*fields)
 
 
+# The trusted path `delinearize` builds records on. A segment of
+# `normalize_text` output split at RECORD_SEP holds no " | " and no leading,
+# trailing or double space, so its FIELD_SEP fields are non-empty, already
+# normalised and hold neither separator: a field can only border on one at
+# its edges. `_clean_field` rejects such a field exactly when the segment
+# starts with "| " or ": ", ends with " |" or " :", or holds " : : " (a
+# field edged by ":" inside it); a segment that is "|" or ":" alone has one
+# field and fails the arity check. The other inner cases would hold " | ".
+_SEGMENT_HEADS = ("| ", ": ")
+_SEGMENT_TAILS = (" |", " :")
+
+
+def _record_from_segment(kind: RecordKind, seg: str) -> Optional[Record]:
+    """The `kind` record a segment of normalised linear text holds, built
+    without re-normalising its fields; None where `make_record` would raise
+    RecordFieldError."""
+    if seg.startswith(_SEGMENT_HEADS) or seg.endswith(_SEGMENT_TAILS) or " : : " in seg:
+        return None
+    fields = seg.split(FIELD_SEP)
+    make = _KIND_TYPES[kind]
+    if len(fields) != len(make.__match_args__):
+        return None
+    r = object.__new__(make)
+    # set as the dataclass __init__ sets them, so the record is stored alike
+    for name, value in zip(make.__match_args__, fields):
+        object.__setattr__(r, name, value)
+    return r
+
+
 def record_key(r: Record) -> tuple[str, ...]:
     """Hashable identity of a record: its variant and case-folded fields."""
     return (type(r).__name__,) + tuple(map(str.casefold, r.fields))
@@ -147,6 +178,14 @@ class RecordSet:
                 raise VariantMismatchError(
                     f"{self.kind.value} record set contains a {type(r).__name__}"
                 )
+
+    @classmethod
+    def _of_kind(cls, records: tuple[Record, ...], kind: RecordKind) -> "RecordSet":
+        """A set of records all built as `kind` records, with no variant check."""
+        rs = object.__new__(cls)
+        object.__setattr__(rs, "records", records)
+        object.__setattr__(rs, "kind", kind)
+        return rs
 
     def __len__(self) -> int:
         return len(self.records)

@@ -3,9 +3,12 @@
 Each function here is the plainest form of what a kernel in `src/` computes,
 and is named after it; `edit_distance` checks `metrics._advance` and
 `metrics._lane_distances`, `t2d_generate` checks `RuleBasedT2D.generate`,
-`source_values` and `value_in_text` check a RecordSet's `source_values` and
-`folded_values` as selection, the optimizer and EPM read them, and `osf`
-checks the `record_keys` that `metrics.osf` compares.
+`delinearize` re-normalises every field through the checked record
+constructors and so checks the trusted segment path `linearize.delinearize`
+builds records on (`records._record_from_segment`), `source_values` and
+`value_in_text` check a RecordSet's `source_values` and `folded_values` as
+selection, the optimizer and EPM read them, and `osf` checks the
+`record_keys` that `metrics.osf` compares.
 A change that replaces a kernel compares against its oracle here and adds no
 copy of the old code. No oracle imports a kernel it checks
 (`tests/test_oracles.py`). The metric oracles add their floating-point terms

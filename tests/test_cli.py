@@ -335,6 +335,18 @@ class TestRunCommand:
             "test": 2,
         }
 
+    def test_non_utf8_e2e_file_exits_with_an_error(self, tmp_path, capsys):
+        paths = []
+        for split in ("train", "val", "test"):
+            path = tmp_path / f"{split}.csv"
+            path.write_bytes("mr,ref\nname[caf\xe9],Ref.\n".encode("latin-1"))
+            paths += [f"--{split}", str(path)]
+        rc = main(["run", "--dataset", "e2e", *paths, "--method", "self-mem"])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "train.csv is not UTF-8" in err
+
     def test_served_run_closes_its_connections(self, tmp_path, capsys):
         examples = [ex for split in synthetic_dataset(seed=42) for ex in split.examples]
         d2t = ModelServer(RuleServable(RuleBasedD2T()))

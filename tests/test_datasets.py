@@ -137,6 +137,13 @@ class TestLoadDart:
         with pytest.raises(DatasetError, match="not valid JSON"):
             load_dart(path)
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "dart.json"
+        entry = '{"tripleset": [["caf\xe9", "P", "O"]], "annotations": ["Ref."]}'
+        path.write_bytes(f"[{entry}]".encode("latin-1"))
+        with pytest.raises(DatasetError, match=f"{path.name} is not UTF-8"):
+            load_dart(path)
+
     def test_top_level_must_be_array(self, tmp_path):
         path = tmp_path / "obj.json"
         path.write_text(json.dumps({"tripleset": []}), encoding="utf-8")
@@ -202,6 +209,11 @@ class TestLoadE2e:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="cannot read"):
             load_e2e(tmp_path / "nope.csv")
+
+    def test_non_utf8_file(self, tmp_path):
+        path = _write_e2e(tmp_path, [("name[caf\xe9]", "Ref.")], encoding="latin-1")
+        with pytest.raises(DatasetError, match=f"{path.name} is not UTF-8"):
+            load_e2e(path)
 
 
 # Values whose brackets nest and close inside them, as the parser expects.

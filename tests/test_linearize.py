@@ -1,5 +1,6 @@
 """Linear string format: rendering, parsing, and round-trip identity."""
 
+import pickle
 import random
 
 import pytest
@@ -189,12 +190,38 @@ def _outcome(parse, text, kind):
         return ("error", str(exc), exc.dropped)
 
 
+def _observed(parse, text, kind):
+    """What a caller can see of a parsed set beyond equality: its and its
+    records' type, hash and repr, its dict form, a pickle round trip and the
+    forms derived from it."""
+    try:
+        rs = parse(text, kind).record_set
+    except DelinearizeError:
+        return None
+    pickled = pickle.dumps(rs)
+    again = pickle.loads(pickled)
+    return (
+        [(type(r), hash(r), repr(r)) for r in rs.records],
+        (type(rs), hash(rs), repr(rs), rs.to_dict()),
+        (pickled, again == rs, hash(again), repr(again)),
+        (rs.source_values, rs.folded_values, rs.record_keys),
+    )
+
+
 @settings(max_examples=500)
 @given(linear_texts, st.sampled_from(list(RecordKind)))
 @example("a : b : c |  d\t:\te : f", RecordKind.TRIPLESET)
 @example(" a :  b | : c | a : b : c ", RecordKind.MR_SET)
 @example("\t|\t", RecordKind.TRIPLESET)
+# one per edge where a field borders on a separator
+@example("a : : b : c", RecordKind.TRIPLESET)
+@example("| a : b : c", RecordKind.TRIPLESET)
+@example("a : b : c |", RecordKind.TRIPLESET)
+@example(": | :", RecordKind.TRIPLESET)
+@example("a : b : c | | d : e : f", RecordKind.TRIPLESET)
+@example("x : | : y", RecordKind.MR_SET)
 def test_delinearize_matches_renormalising_parser(text, kind):
     # segments of normalised text split at space-edged separators are
     # normalised already, so the fields need no second pass
     assert _outcome(delinearize, text, kind) == _outcome(oracles.delinearize, text, kind)
+    assert _observed(delinearize, text, kind) == _observed(oracles.delinearize, text, kind)

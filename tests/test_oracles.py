@@ -16,6 +16,9 @@ _KERNELS = {
     "_Text",
     "_analysed",
     "_max_ref_counts",
+    "delinearize",
+    "_record_from_segment",
+    "_of_kind",
     "infer_record_set",
     "osf",
     "tokenize",
