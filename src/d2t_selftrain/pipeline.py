@@ -8,7 +8,8 @@ actually changed), judge every tuple, assemble a new training subset of the
 step-1 size, self-train, and checkpoint on validation METEOR (D2T) or
 validation slot-filling precision (T2D) under a strict-improvement rule.
 Baseline methods without self-memory skip inference and train on the raw
-subset; every method shares the validation and checkpoint path.
+subset; every method shares the validation and checkpoint path. Each epoch is
+summarised, counted and audited as it ends, and its tuples are then dropped.
 
 All sampling derives from one master seed through named sub-seeds, so a rerun
 of the same config is byte-identical (timing aside, which is reported under
@@ -167,6 +168,15 @@ def _selection_stats(verdicts: Iterable[SelectionVerdict], subset: Iterable[Pair
     }
 
 
+def _add_counts(total: dict, part: dict) -> None:
+    """Add `part`'s counts into `total` in place, nested counts included."""
+    for key, n in part.items():
+        if isinstance(n, dict):
+            _add_counts(total[key], n)
+        else:
+            total[key] += n
+
+
 @dataclass(frozen=True)
 class EpochTrace:
     """Complete record of one epoch: inferred tuples, verdicts, the trained
@@ -253,8 +263,8 @@ class RunReport:
 
 
 class Orchestrator:
-    """Owns the model handles and drives bootstrap, epochs, checkpointing,
-    final evaluation, and the post-hoc audit for one run."""
+    """Owns the model handles and drives bootstrap, epochs, checkpointing
+    and final evaluation for one run, auditing each epoch as it ends."""
 
     def __init__(self, cfg: RunConfig):
         for split in (cfg.train, cfg.val, cfg.test):
@@ -278,12 +288,23 @@ class Orchestrator:
             len(cfg.train), self.strategy, cfg.ratio, cfg.epochs, cfg.seed
         )
         self.best = BestCheckpoints()
-        self.traces: list[EpochTrace] = []
         self.timing: dict[str, float] = {}
         self.last_snapshot: Optional[dict] = None
         self._reserve = tuple(
             cfg.train.examples[i] for i in self.plan.unused_indices()
         )
+        self._allowed = {Origin.GOLD}
+        if cfg.method.uses_self_memory:
+            self._allowed |= {Origin.SELF_MEMORY_Y_PRIME, Origin.SELF_MEMORY_Y_DPRIME}
+            if cfg.method.includes_new_data:
+                self._allowed.add(Origin.REMAINING)
+        # all that a closed epoch leaves behind: its summary and audit facts
+        self._summaries: list[dict] = []
+        self._selection = _selection_stats((), ())
+        self._revalidated = 0
+        self._stale: list[str] = []
+        self._subset_sizes: list[int] = []
+        self._drawn_from_reserve: set[tuple[str, str]] = set()
 
     @contextmanager
     def _timed(self, key: str):
@@ -454,75 +475,64 @@ class Orchestrator:
             reconstructions=[self._parse_records(r) for r in recon_raw],
         )
 
-    def audit(self) -> dict:
-        """Post-hoc consistency checks over the recorded traces."""
-        checks = []
+    def _close_epoch(self, trace: EpochTrace) -> None:
+        """Summarise, count and audit a checkpointed epoch, then drop it."""
+        self._summaries.append(trace.summary())
+        _add_counts(self._selection, self._summaries[-1]["selection"])
+        self._subset_sizes.append(len(trace.subset))
+        for pair in trace.subset:
+            if pair.origin is Origin.GOLD and self.cfg.method.uses_self_memory:
+                # a self-memory subset's gold pairs are reserve top-ups
+                self._drawn_from_reserve.add(pair.key())
+            if pair.origin not in (Origin.SELF_MEMORY_Y_PRIME, Origin.SELF_MEMORY_Y_DPRIME):
+                continue
+            i = pair.tuple_index
+            if i is None or not 0 <= i < len(trace.tuples):
+                self._stale.append(f"epoch {trace.epoch}: unmatched pair {pair.key()!r}")
+                continue
+            tup = trace.tuples[i]
+            verdict = judge_pair(tup)
+            if verdict.accepted and elite_pair(tup, verdict, pair.source_text) == pair:
+                self._revalidated += 1
+            else:
+                self._stale.append(f"epoch {trace.epoch}: re-judge rejects {pair.key()!r}")
 
-        revalidated = 0
-        stale = []
-        for trace in self.traces:
-            for pair in trace.subset:
-                if pair.origin not in (
-                    Origin.SELF_MEMORY_Y_PRIME,
-                    Origin.SELF_MEMORY_Y_DPRIME,
-                ):
-                    continue
-                i = pair.tuple_index
-                if i is None or not 0 <= i < len(trace.tuples):
-                    stale.append(f"epoch {trace.epoch}: unmatched pair {pair.key()!r}")
-                    continue
-                tup = trace.tuples[i]
-                verdict = judge_pair(tup)
-                if verdict.accepted and elite_pair(tup, verdict, pair.source_text) == pair:
-                    revalidated += 1
-                else:
-                    stale.append(
-                        f"epoch {trace.epoch}: re-judge rejects {pair.key()!r}"
-                    )
-        checks.append(
+    def audit(self) -> dict:
+        """Consistency checks over the facts each epoch left as it ended."""
+        stale = self._stale
+        checks = [
             {
                 "name": "self-memory-pairs-revalidate",
                 "passed": not stale,
-                "detail": f"{revalidated} pairs re-judged" + ("" if not stale else f"; {stale[:3]}"),
-            }
-        )
-
-        sizes_ok = all(len(t.subset) == self.plan.block_size for t in self.traces)
-        checks.append(
+                "detail": f"{self._revalidated} pairs re-judged" + ("" if not stale else f"; {stale[:3]}"),
+            },
             {
                 "name": "subset-size-equals-step1-size",
-                "passed": sizes_ok,
-                "detail": f"block size {self.plan.block_size}, "
-                f"subset sizes {[len(t.subset) for t in self.traces]}",
-            }
-        )
+                "passed": all(n == self.plan.block_size for n in self._subset_sizes),
+                "detail": f"block size {self.plan.block_size}, subset sizes {self._subset_sizes}",
+            },
+        ]
 
         if self.strategy is Strategy.FIXED_NON_OVERLAP:
             used = self.plan.used_indices()
             expected = self.plan.block_size * self.cfg.epochs
-            disjoint = len(used) == expected
+            detail = f"{len(used)} distinct indices used, expected {expected}, {len(self.plan.unused_indices())} unused"
+            if self._drawn_from_reserve:
+                top_ups = self._selection["subset_origins"][Origin.GOLD.value]
+                detail += f"; {top_ups} reserve top-ups from {len(self._drawn_from_reserve)} distinct examples"
             checks.append(
                 {
                     "name": "data-budget-disjoint-blocks",
-                    "passed": disjoint,
-                    "detail": f"{len(used)} distinct indices used, expected {expected}, "
-                    f"{len(self.plan.unused_indices())} unused",
+                    "passed": len(used) == expected,
+                    "detail": detail,
                 }
             )
 
-        allowed = {Origin.GOLD}
-        if self.cfg.method.uses_self_memory:
-            allowed |= {Origin.SELF_MEMORY_Y_PRIME, Origin.SELF_MEMORY_Y_DPRIME}
-            if self.cfg.method.includes_new_data:
-                allowed.add(Origin.REMAINING)
-        origin_ok = all(
-            p.origin in allowed for t in self.traces for p in t.subset
-        )
         checks.append(
             {
                 "name": "subset-origins-allowed",
-                "passed": origin_ok,
-                "detail": f"allowed: {sorted(o.value for o in allowed)}",
+                "passed": not any(self._selection["subset_origins"][o.value] for o in Origin if o not in self._allowed),
+                "detail": f"allowed: {sorted(o.value for o in self._allowed)}",
             }
         )
 
@@ -535,7 +545,7 @@ class Orchestrator:
             "seed": self.cfg.seed,
             "method": self.cfg.method.value,
             "data_mode": self.cfg.data_mode.value,
-            "completed_epochs": len(self.traces),
+            "completed_epochs": len(self._summaries),
             "best": asdict(self.best),
         }
         self.last_snapshot = snapshot
@@ -552,23 +562,19 @@ class Orchestrator:
                 with self._timed("step0-bootstrap"):
                     self.bootstrap()
             for epoch in range(self.cfg.epochs):
-                trace = self.run_epoch(epoch)
-                trace = self.select_checkpoint(trace)
-                self.traces.append(trace)
+                self._close_epoch(self.select_checkpoint(self.run_epoch(epoch)))
+            epoch = self.cfg.epochs
             with self._timed("evaluate-test"):
                 final = self.evaluate_test()
         except GatewayError as exc:
             self._snapshot(epoch, str(exc))
-            label = "bootstrap" if epoch < 0 else f"epoch {epoch + 1}"
+            label = {-1: "bootstrap", self.cfg.epochs: "test evaluation"}.get(epoch, f"epoch {epoch + 1}")
             raise EpochError(f"{label} aborted: {exc}", epoch=epoch) from exc
 
         return RunReport(
             config=self.cfg.to_dict(),
-            epoch_summaries=tuple(t.summary() for t in self.traces),
-            selection_stats=_selection_stats(
-                (v for t in self.traces for v in t.verdicts),
-                (p for t in self.traces for p in t.subset),
-            ),
+            epoch_summaries=tuple(self._summaries),
+            selection_stats=self._selection,
             final_metrics=final,
             audit=self.audit(),
             best=asdict(self.best),

@@ -4,7 +4,6 @@ import gc
 import io
 import json
 import warnings
-from dataclasses import replace
 
 import pytest
 
@@ -248,14 +247,13 @@ class TestRunCommand:
     def test_failed_audit_exits_non_zero_after_writing_the_report(
         self, tmp_path, capsys, monkeypatch
     ):
-        real_audit = pipeline.Orchestrator.audit
+        real_build_subset = pipeline.build_subset
 
-        def audit_of_a_short_subset(orch):
+        def short_subset(*args, **kwargs):
             # a subset one pair short of its block fails the real size check
-            orch.traces[0] = replace(orch.traces[0], subset=orch.traces[0].subset[:-1])
-            return real_audit(orch)
+            return real_build_subset(*args, **kwargs)[:-1]
 
-        monkeypatch.setattr(pipeline.Orchestrator, "audit", audit_of_a_short_subset)
+        monkeypatch.setattr(pipeline, "build_subset", short_subset)
         report_path = tmp_path / "report.json"
         rc = main(
             [

@@ -1,7 +1,10 @@
 """Orchestrator tests: method routing, epochs, checkpoints, audit, aborts."""
 
+import gc
 import hashlib
+import itertools
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -14,8 +17,10 @@ from d2t_selftrain import (
     EpochError,
     EpochTrace,
     Example,
+    GatewayError,
     Method,
     ModelServer,
+    ModelHandle,
     Mr,
     Orchestrator,
     Origin,
@@ -33,6 +38,7 @@ from d2t_selftrain import (
     strategy_for,
     synthetic_dataset,
 )
+from d2t_selftrain import pipeline, selection
 from d2t_selftrain.datasets import DatasetSplit
 from d2t_selftrain.gateway import CheckpointAction
 
@@ -379,40 +385,52 @@ class TestFullRuns:
         assert report.best["osf_precision"] is not None
 
 
+def _tamper_subset(monkeypatch, epoch, edit):
+    """Route the subset `build_subset` assembles in `epoch` (0-based) through
+    `edit(subset, tuples)`: a fault enters where the subset is made, before
+    the epoch is audited as it ends."""
+    epochs = itertools.count()
+
+    def tampered(gold, tuples, *args, **kwargs):
+        subset = selection.build_subset(gold, tuples, *args, **kwargs)
+        return edit(subset, tuples) if next(epochs) == epoch else subset
+
+    monkeypatch.setattr(pipeline, "build_subset", tampered)
+
+
 class TestAuditTamperDetection:
     def _run_orchestrator(self, small_splits):
         orch = Orchestrator(make_config(small_splits, method=Method.SELF_MEM))
         orch.run()
         return orch
 
-    def test_tampered_target_text_fails_revalidation(self, small_splits):
-        orch = self._run_orchestrator(small_splits)
-        assert orch.audit()["valid"]
-        trace = orch.traces[-1]
-        pair = trace.subset[0]
-        assert pair.origin is Origin.SELF_MEMORY_Y_PRIME
-        tampered = (replace(pair, target_text="now something else"),) + trace.subset[1:]
-        orch.traces[-1] = replace(trace, subset=tampered)
-        audit = orch.audit()
+    def test_tampered_target_text_fails_revalidation(self, small_splits, monkeypatch):
+        assert self._run_orchestrator(small_splits).audit()["valid"]
+
+        def retarget_first_pair(subset, tuples):
+            pair = subset[0]
+            assert pair.origin is Origin.SELF_MEMORY_Y_PRIME
+            return [replace(pair, target_text="now something else")] + subset[1:]
+
+        _tamper_subset(monkeypatch, 2, retarget_first_pair)
+        audit = self._run_orchestrator(small_splits).audit()
         assert not audit["valid"]
         failing = {c["name"] for c in audit["checks"] if not c["passed"]}
         assert "self-memory-pairs-revalidate" in failing
 
-    def test_truncated_subset_fails_size_check(self, small_splits):
-        orch = self._run_orchestrator(small_splits)
-        trace = orch.traces[0]
-        orch.traces[0] = replace(trace, subset=trace.subset[:-1])
-        audit = orch.audit()
+    def test_truncated_subset_fails_size_check(self, small_splits, monkeypatch):
+        _tamper_subset(monkeypatch, 0, lambda subset, tuples: subset[:-1])
+        audit = self._run_orchestrator(small_splits).audit()
         assert not audit["valid"]
         failing = {c["name"] for c in audit["checks"] if not c["passed"]}
         assert "subset-size-equals-step1-size" in failing
 
-    def test_foreign_origin_fails_origin_check(self, small_splits):
-        orch = self._run_orchestrator(small_splits)
-        trace = orch.traces[0]
-        pair = replace(trace.subset[0], origin=Origin.REMAINING)
-        orch.traces[0] = replace(trace, subset=(pair,) + trace.subset[1:])
-        audit = orch.audit()
+    def test_foreign_origin_fails_origin_check(self, small_splits, monkeypatch):
+        def relabel_first_pair(subset, tuples):
+            return [replace(subset[0], origin=Origin.REMAINING)] + subset[1:]
+
+        _tamper_subset(monkeypatch, 0, relabel_first_pair)
+        audit = self._run_orchestrator(small_splits).audit()
         assert not audit["valid"]
         failing = {c["name"] for c in audit["checks"] if not c["passed"]}
         # self-mem without new data must never carry remaining-pool pairs
@@ -467,6 +485,34 @@ class TestAborts:
         assert exc_info.value.epoch == 0
         assert orch.last_snapshot["completed_epochs"] == 0
 
+    def test_test_evaluation_abort_is_not_labelled_as_an_epoch(self, small_splits, tmp_path):
+        class LoadFails(RuleServable):
+            def load(self, tag):
+                raise GatewayError(f"cannot load {tag!r}")
+
+        train, val, test = small_splits
+        _, t2d = rule_handles(small_splits)
+        snap = tmp_path / "snapshot.json"
+        cfg = RunConfig(
+            method=Method.SELF_MEM,
+            d2t=ModelHandle(Direction.D2T, LoadFails(RuleBasedD2T())),
+            t2d=t2d,
+            train=train,
+            val=val,
+            test=test,
+            epochs=2,
+            resume_path=snap,
+        )
+        orch = Orchestrator(cfg)
+        # both epochs finish; loading the best D2T checkpoint for the test split fails
+        with pytest.raises(EpochError, match="^test evaluation aborted: cannot load 'd2t-epoch1'") as exc_info:
+            orch.run()
+        assert exc_info.value.epoch == 2
+        assert orch.last_snapshot["completed_epochs"] == 2
+        data = json.loads(snap.read_text(encoding="utf-8"))
+        assert data["epoch"] == 2
+        assert data["completed_epochs"] == 2
+
 
 def _report_digest(report) -> str:
     """sha256 of the compact, key-sorted report without timing, with server
@@ -512,19 +558,67 @@ class TestGoldenDigests:
         assert digest == "f3a2dac6ff94886020acf85bbb7a7c7c54fdb2032bd4d63d200cde4e3f429caf"
 
 
-def test_audit_reports_pair_without_tuple_index_as_unmatched(small_splits):
-    orch = Orchestrator(make_config(small_splits, method=Method.SELF_MEM))
-    orch.run()
-    trace = orch.traces[-1]
-    pair = trace.subset[0]
-    assert pair.origin is Origin.SELF_MEMORY_Y_PRIME
-    for index in (None, len(trace.tuples)):
-        orphan = replace(pair, tuple_index=index)
-        orch.traces[-1] = replace(trace, subset=(orphan,) + trace.subset[1:])
-        check = orch.audit()["checks"][0]
+def test_audit_reports_pair_without_tuple_index_as_unmatched(small_splits, monkeypatch):
+    # no index at all, and an index one past the epoch's last tuple
+    for orphan_index in (lambda tuples: None, len):
+
+        def orphan_first_pair(subset, tuples):
+            pair = subset[0]
+            assert pair.origin is Origin.SELF_MEMORY_Y_PRIME
+            return [replace(pair, tuple_index=orphan_index(tuples))] + subset[1:]
+
+        _tamper_subset(monkeypatch, 2, orphan_first_pair)
+        orch = Orchestrator(make_config(small_splits, method=Method.SELF_MEM))
+        check = orch.run().audit["checks"][0]
         assert check["name"] == "self-memory-pairs-revalidate"
         assert not check["passed"]
         assert "unmatched pair" in check["detail"]
+
+
+def test_budget_detail_counts_reserve_top_ups():
+    # gold targets of "x." are shorter than any generation, so most tuples
+    # are rejected and self-mem tops its subsets up from the 10 unused examples
+    train, val, test = synthetic_dataset(100, 20, 20, seed=3)
+    examples = tuple(ex if k % 5 == 0 else replace(ex, target="x.") for k, ex in enumerate(train.examples))
+    splits = (DatasetSplit(train.name, examples), val, test)
+    report = Orchestrator(make_config(splits, method=Method.SELF_MEM, seed=3)).run()
+    top_ups = report.selection_stats["subset_origins"]["gold"]
+    assert top_ups == 30
+    budget = next(c for c in report.audit["checks"] if c["name"] == "data-budget-disjoint-blocks")
+    assert budget["passed"]
+    assert budget["detail"] == (
+        "90 distinct indices used, expected 90, 10 unused; 30 reserve top-ups from 10 distinct examples"
+    )
+
+
+def test_no_epoch_tuples_outlive_the_epoch(small_splits, monkeypatch):
+    judged = []
+
+    def judge_and_watch(tup):
+        judged.append(weakref.ref(tup))
+        return selection.judge_pair(tup)
+
+    monkeypatch.setattr(pipeline, "judge_pair", judge_and_watch)
+    orch = Orchestrator(make_config(small_splits, method=Method.SELF_MEM_NEW_DATA))
+    report = orch.run()
+    gc.collect()
+    assert len(report.epoch_summaries) == 3
+    assert judged
+    assert all(ref() is None for ref in judged)
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_selection_stats_are_the_sum_of_the_epochs(small_splits, method):
+    report = Orchestrator(make_config(small_splits, method=method)).run()
+    epochs = [summary["selection"] for summary in report.epoch_summaries]
+    assert len(epochs) == 3
+    expected = {}
+    for key, value in epochs[0].items():
+        if isinstance(value, dict):
+            expected[key] = {k: sum(e[key][k] for e in epochs) for k in value}
+        else:
+            expected[key] = sum(e[key] for e in epochs)
+    assert report.selection_stats == expected
 
 
 class _LimitRecorder(RuleServable):
