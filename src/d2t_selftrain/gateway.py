@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import json
-import re
 import socket
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from typing import BinaryIO, NamedTuple, Optional, Sequence, Union
 
 from .errors import DelinearizeError, GatewayError
 from .linearize import delinearize, render_records
-from .records import Record, RecordKind, RecordSet, normalize_text
+from .records import _TOKEN, Record, RecordKind, RecordSet, find_bounded, fold
 
 
 class Direction(enum.Enum):
@@ -117,33 +116,14 @@ class _CatalogEntry(NamedTuple):
     evidence: Optional[str]  # case-folded predicate/key phrase; None = values suffice
 
 
-# Maximal runs of str.isalnum characters: \w without the underscore.
-_TOKEN = re.compile(r"[^\W_]+")
-
-
-def _find_bounded(text: str, phrase: str, consumed: Sequence[tuple[int, int]]) -> Optional[int]:
-    """Leftmost word-bounded occurrence of `phrase` avoiding consumed spans."""
-    start = 0
-    while True:
-        i = text.find(phrase, start)
-        if i == -1:
-            return None
-        end = i + len(phrase)
-        bounded = (i == 0 or not text[i - 1].isalnum()) and (
-            end == len(text) or not text[end].isalnum()
-        )
-        if bounded and all(end <= s or i >= e for s, e in consumed):
-            return i
-        start = i + 1
-
-
 class RuleBasedT2D:
     """Deterministic record extractor standing in for a T2D model.
 
     Holds a catalog of known records. A record is recovered from a text when
-    all of its values occur word-bounded (values matched longest-first with
-    span consumption, so "New York" shadows "York") and its predicate/key
-    phrase also occurs; the MR name pair needs only its value. Recovered
+    all of its values occur word-bounded, as `records.find_bounded` finds
+    values for the selection too (values matched longest-first with span
+    consumption, so "New York" shadows "York"), and its predicate/key phrase
+    also occurs; the MR name pair needs only its value. Recovered
     records are emitted in text order as a linearized string, or "" when
     nothing is recoverable.
 
@@ -203,7 +183,7 @@ class RuleBasedT2D:
         return cls([ex.source for ex in examples])
 
     def generate(self, text: str) -> str:
-        norm = normalize_text(text).casefold()
+        norm = fold(text)
         if not norm:
             return ""
         ranks = set(self._always)
@@ -213,7 +193,7 @@ class RuleBasedT2D:
         consumed: list[tuple[int, int]] = []
         for rank in sorted(ranks):
             v = self._values[rank]
-            pos = _find_bounded(norm, v, consumed)
+            pos = find_bounded(norm, v, consumed)
             if pos is not None:
                 positions[v] = pos
                 consumed.append((pos, pos + len(v)))
@@ -225,7 +205,7 @@ class RuleBasedT2D:
                 continue
             if e.evidence is not None:
                 if e.evidence not in evidence:
-                    evidence[e.evidence] = _find_bounded(norm, e.evidence, ()) is not None
+                    evidence[e.evidence] = find_bounded(norm, e.evidence) is not None
                 if not evidence[e.evidence]:
                     continue
             chosen.append((min(positions[v] for v in e.values), idx, e.record))
@@ -384,7 +364,8 @@ class RemoteServable:
 
     def train(self, pairs: Sequence[tuple[str, str]]) -> Optional[float]:
         loss = self._request("train", pairs=[[s, t] for s, t in pairs]).get("loss")
-        if loss is not None and not isinstance(loss, (int, float)):
+        # type, not isinstance: JSON true is a bool, and True == 1
+        if loss is not None and type(loss) not in (int, float):
             raise GatewayError(f"train response carries a non-numeric loss: {loss!r}")
         return None if loss is None else float(loss)
 

@@ -1,11 +1,12 @@
 """String-overlap evaluation metrics implemented from scratch.
 
 Eight metrics over one shared tokenizer: BLEU, NIST, METEOR (exact + stem
-modules), ROUGE-L, CIDEr, TER, exact-phrase matching of source values (EPM),
-and slot-filling precision/recall/F1 over record sets (OSF). All functions
-are pure; corpus-level scorers (bleu, nist, cider) take aligned candidate and
-reference lists, sentence-level ones take a candidate and its references and
-return the best reference's score.
+modules), ROUGE-L, CIDEr, TER, exact-phrase matching of source values (EPM;
+a value matches where `records.find_bounded` finds it, case-folded and
+word-bounded) and slot-filling precision/recall/F1 over record sets (OSF).
+All functions are pure; corpus-level scorers (bleu, nist, cider) take
+aligned candidate and reference lists, sentence-level ones take a candidate
+and its references and return the best reference's score.
 
 Scores are reported on their natural scales: 0-1 for BLEU/METEOR/ROUGE-L/
 EPM/OSF, edits-per-word for TER, the customary 0-10 ranges for NIST and
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import MetricError, VariantMismatchError
-from .records import RecordSet, fold, normalize_text
+from .records import RecordSet, find_bounded, fold, normalize_text
 from .stemming import stem
 
 Ngram = tuple[str, ...]
@@ -554,13 +555,13 @@ def ter(candidate: str, references: Sequence[str]) -> float:
 
 
 def epm(x: RecordSet, y: str) -> float:
-    """Fraction of the source values of x present in y (normalized,
-    case-folded substring match)."""
+    """Fraction of the source values of x present in y: found case-folded
+    and word-bounded by `find_bounded`, as condition 1 finds them."""
     values = x.folded_values
     if not values:
         return 0.0
     text = fold(y)
-    return sum(1 for v in values if v in text) / len(values)
+    return sum(1 for v in values if find_bounded(text, v) is not None) / len(values)
 
 
 @dataclass(frozen=True)

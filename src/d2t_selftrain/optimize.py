@@ -1,7 +1,9 @@
 """Greedy target optimization.
 
 Walks the sentences of a generated target in order and keeps every sentence
-that contributes at least one still-unmatched source value. When the kept
+that contributes at least one still-unmatched source value, a value being in
+a sentence when `records.find_bounded` finds it there (case-folded and
+word-bounded, as condition 1 of the selection reads it). When the kept
 sentences jointly cover every source value they become the optimized target;
 otherwise the input target is returned unchanged. Failure to optimize is a
 normal outcome, not an error.
@@ -12,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .records import RecordSet, fold, normalize_text
+from .records import RecordSet, find_bounded, fold, normalize_text
 
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
 
@@ -63,22 +65,15 @@ def optimize_target(x: RecordSet, y_prime: str) -> OptimizationOutcome:
     for s in split_sentences(y_prime):
         text = fold(s)
         for v, k in list(unmatched.items()):
-            if k in text:
+            if find_bounded(text, k) is not None:
                 del unmatched[v]
                 matched.append(v)
                 if s not in kept:
                     kept.append(s)
-    if len(matched) == len(values) and values:
-        optimized = " ".join(kept)
-        return OptimizationOutcome(
-            optimized=optimized,
-            changed=optimized != y_prime,
-            matched_values=tuple(matched),
-            kept_sentences=tuple(kept),
-        )
+    optimized = " ".join(kept) if values and not unmatched else y_prime
     return OptimizationOutcome(
-        optimized=y_prime,
-        changed=False,
+        optimized=optimized,
+        changed=optimized != y_prime,
         matched_values=tuple(matched),
         kept_sentences=tuple(kept),
     )

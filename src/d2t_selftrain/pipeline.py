@@ -479,23 +479,25 @@ class Orchestrator:
         """Summarise, count and audit a checkpointed epoch, then drop it."""
         self._summaries.append(trace.summary())
         _add_counts(self._selection, self._summaries[-1]["selection"])
-        self._subset_sizes.append(len(trace.subset))
-        for pair in trace.subset:
-            if pair.origin is Origin.GOLD and self.cfg.method.uses_self_memory:
-                # a self-memory subset's gold pairs are reserve top-ups
-                self._drawn_from_reserve.add(pair.key())
-            if pair.origin not in (Origin.SELF_MEMORY_Y_PRIME, Origin.SELF_MEMORY_Y_DPRIME):
-                continue
-            i = pair.tuple_index
-            if i is None or not 0 <= i < len(trace.tuples):
-                self._stale.append(f"epoch {trace.epoch}: unmatched pair {pair.key()!r}")
-                continue
-            tup = trace.tuples[i]
-            verdict = judge_pair(tup)
-            if verdict.accepted and elite_pair(tup, verdict, pair.source_text) == pair:
-                self._revalidated += 1
-            else:
-                self._stale.append(f"epoch {trace.epoch}: re-judge rejects {pair.key()!r}")
+        # timed apart from the summary, whose digest hashes the whole trace
+        with self._timed("audit"):
+            self._subset_sizes.append(len(trace.subset))
+            for pair in trace.subset:
+                if pair.origin is Origin.GOLD and self.cfg.method.uses_self_memory:
+                    # a self-memory subset's gold pairs are reserve top-ups
+                    self._drawn_from_reserve.add(pair.key())
+                if pair.origin not in (Origin.SELF_MEMORY_Y_PRIME, Origin.SELF_MEMORY_Y_DPRIME):
+                    continue
+                i = pair.tuple_index
+                if i is None or not 0 <= i < len(trace.tuples):
+                    self._stale.append(f"epoch {trace.epoch}: unmatched pair {pair.key()!r}")
+                    continue
+                tup = trace.tuples[i]
+                verdict = judge_pair(tup)
+                if verdict.accepted and elite_pair(tup, verdict, pair.source_text) == pair:
+                    self._revalidated += 1
+                else:
+                    self._stale.append(f"epoch {trace.epoch}: re-judge rejects {pair.key()!r}")
 
     def audit(self) -> dict:
         """Consistency checks over the facts each epoch left as it ended."""

@@ -16,11 +16,17 @@ says how they relate); `make_record` builds the variant of a RecordKind.
 A RecordSet owns the forms a text is checked against: its `source_values`,
 their `folded_values` (compared with `fold` of the text) and its
 `record_keys`, each derived once per instance on first use.
+
+One rule says whether a value appears in a text, for the T2D model, the
+selection's condition 1, EPM and the optimizer alike: `find_bounded` finds
+the value's fold in the text's fold with no alphanumeric character on either
+side, so "no" is not in "known" and "1 out of 5" is not in "1 out of 50".
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -39,6 +45,29 @@ def normalize_text(t: str) -> str:
 def fold(t: str) -> str:
     """The form value matching compares: whitespace-normalized, case-folded."""
     return normalize_text(t).casefold()
+
+
+# Maximal runs of str.isalnum characters: \w without the underscore. Every
+# run of a value `find_bounded` finds is a whole run of the text, which is
+# what lets `RuleBasedT2D` index its catalog by them.
+_TOKEN = re.compile(r"[^\W_]+")
+
+
+def find_bounded(text: str, phrase: str, consumed: Sequence[tuple[int, int]] = ()) -> Optional[int]:
+    """Where `phrase` appears in `text`, both folded: its leftmost occurrence
+    with no alphanumeric character on either side that overlaps none of the
+    `consumed` spans, or None."""
+    i = text.find(phrase)
+    while i != -1:
+        end = i + len(phrase)
+        if (
+            (i == 0 or not text[i - 1].isalnum())
+            and (end == len(text) or not text[end].isalnum())
+            and (not consumed or all(end <= s or i >= e for s, e in consumed))
+        ):
+            return i
+        i = text.find(phrase, i + 1)
+    return None
 
 
 def _clean_field(name: str, raw: str) -> str:

@@ -1,12 +1,13 @@
 """Elite-pair filtering, training-subset assembly, and epoch allocation.
 
 A generated target is "elite" when it is shorter than the gold target (in
-characters, whitespace-normalized), still contains every source value
-(case-folded), and its text-to-data reconstruction introduces no record
-absent from the source. Case 1 judges the raw generation y', Case 2 judges
-the optimized target y'' whenever optimization changed it. Accepted pairs
-are mixed with the untouched gold pairs (optionally) and down-sampled or
-topped up to the fixed subset size.
+characters, whitespace-normalized), still contains every source value (by
+`records.find_bounded`: case-folded and word-bounded, the rule the T2D model
+recovers values by), and its text-to-data reconstruction introduces no
+record absent from the source. Case 1 judges the raw generation y', Case 2
+judges the optimized target y'' whenever optimization changed it. Accepted
+pairs are mixed with the untouched gold pairs (optionally) and down-sampled
+or topped up to the fixed subset size.
 
 All randomness flows from one run seed through named sub-seeds so every
 strategy is independently reproducible.
@@ -23,14 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import AllocationError, EmptySubsetError
 from .metrics import osf
-from .records import (
-    Example,
-    Origin,
-    Pair,
-    RecordSet,
-    SelfMemTuple,
-    normalize_text,
-)
+from .records import Example, Origin, Pair, RecordSet, SelfMemTuple, find_bounded, normalize_text
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -73,7 +67,7 @@ def _judge_candidate(
     if not len(candidate) < len(normalize_text(y)):
         failed.append(Condition.LEN_NOT_SHORTER)
     text = candidate.casefold()
-    if not all(v in text for v in x.folded_values):
+    if not all(find_bounded(text, v) is not None for v in x.folded_values):
         failed.append(Condition.MISSING_SOURCE_VALUE)
     # Subset check via reconstruction precision: 1.0 means every reconstructed
     # record matches a source record. An empty or missing reconstruction

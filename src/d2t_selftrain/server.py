@@ -73,11 +73,11 @@ class _Handler(socketserver.StreamRequestHandler):
             inputs = req.get("inputs")
             if not isinstance(inputs, list) or not inputs or not all(isinstance(i, str) for i in inputs):
                 raise ValueError("'inputs' must be a non-empty list of strings")
-            outputs = servable.generate(
-                inputs,
-                max_len=int(req.get("max_len", MAX_LEN)),
-                min_len=int(req.get("min_len", MIN_LEN)),
-            )
+            limits = {"max_len": req.get("max_len", MAX_LEN), "min_len": req.get("min_len", MIN_LEN)}
+            # type, not int(): JSON true would pass as 1 and "3" as 3
+            if any(type(n) is not int for n in limits.values()):
+                raise ValueError(f"decode limits must be integers, got {limits!r}")
+            outputs = servable.generate(inputs, **limits)
             return {"outputs": outputs}
         if cmd == "train":
             pairs = req.get("pairs")

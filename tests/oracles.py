@@ -7,8 +7,9 @@ and is named after it; `edit_distance` checks `metrics._advance` and
 constructors and so checks the trusted segment path `linearize.delinearize`
 builds records on (`records._record_from_segment`), `source_values` and
 `value_in_text` check a RecordSet's `source_values` and `folded_values` as
-selection, the optimizer and EPM read them, and `osf` checks the
-`record_keys` that `metrics.osf` compares.
+selection, the optimizer and EPM read them and `records.find_bounded` as
+they apply it, and `osf` checks the `record_keys` that `metrics.osf`
+compares.
 A change that replaces a kernel compares against its oracle here and adds no
 copy of the old code. No oracle imports a kernel it checks
 (`tests/test_oracles.py`). The metric oracles add their floating-point terms
@@ -330,10 +331,17 @@ def evaluate_corpus(candidates, references, sources, reconstructions, smoothing=
 
 
 def value_in_text(value: str, text: str) -> bool:
-    """Whether `value` is a non-empty substring of `text`, both with
-    whitespace runs collapsed and case-folded."""
-    folded = " ".join(value.split()).casefold()
-    return bool(folded) and folded in " ".join(text.split()).casefold()
+    """Whether `value` occurs in `text`, both with whitespace runs collapsed
+    and case-folded, as a non-empty string with no alphanumeric character
+    on either side."""
+    v = " ".join(value.split()).casefold()
+    t = " ".join(text.split()).casefold()
+    return bool(v) and any(
+        t[i : i + len(v)] == v
+        and (i == 0 or not t[i - 1].isalnum())
+        and (i + len(v) == len(t) or not t[i + len(v)].isalnum())
+        for i in range(len(t) - len(v) + 1)
+    )
 
 
 def source_values(x: RecordSet) -> list[str]:

@@ -19,6 +19,7 @@ from conftest import linear_texts, random_record_set
 from d2t_selftrain import (
     Backend,
     CheckpointAction,
+    Condition,
     Direction,
     GatewayError,
     ModelHandle,
@@ -38,15 +39,9 @@ from d2t_selftrain import (
     rule_based_handle,
     train_batch,
 )
-from d2t_selftrain import gateway
-from d2t_selftrain.gateway import (
-    MAX_LEN,
-    MIN_LEN,
-    _TOKEN,
-    RemoteServable,
-    _find_bounded,
-    infer_record_set,
-)
+from d2t_selftrain import gateway, selection
+from d2t_selftrain.gateway import MAX_LEN, MIN_LEN, RemoteServable, infer_record_set
+from d2t_selftrain.records import _TOKEN, find_bounded
 
 
 # ------------------------------------------------------------ rule models
@@ -223,9 +218,9 @@ def _mention(r) -> str:
     return f"{r.key.replace('_', ' ')} {r.value}"
 
 
-def _check_index_against_scan(data, values, atoms):
-    catalog = data.draw(_catalogs(values))
-    t2d = RuleBasedT2D(catalog)
+def _draw_text(data, catalog, atoms):
+    """Up to ten re-cased mentions, fields and atoms, each joined to the next
+    by a space, nothing, or punctuation."""
     fields = sorted({f for rs in catalog for r in rs.records for f in r.fields})
     mentions = [_mention(r) for rs in catalog for r in rs.records]
     words = mentions + fields + [f.replace("_", " ") for f in fields] + atoms
@@ -233,8 +228,13 @@ def _check_index_against_scan(data, values, atoms):
         lambda w, case: case(w), st.sampled_from(words), st.sampled_from([str, str.upper, str.lower])
     )
     parts = data.draw(st.lists(st.tuples(piece, st.sampled_from(_JOINERS)), max_size=10))
-    text = "".join(w + j for w, j in parts)
-    assert t2d.generate(text) == oracles.t2d_generate(catalog, text)
+    return "".join(w + j for w, j in parts)
+
+
+def _check_index_against_scan(data, values, atoms):
+    catalog = data.draw(_catalogs(values))
+    text = _draw_text(data, catalog, atoms)
+    assert RuleBasedT2D(catalog).generate(text) == oracles.t2d_generate(catalog, text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,6 +247,20 @@ def test_rule_t2d_index_matches_full_scan(data):
 @given(st.data())
 def test_rule_t2d_index_matches_full_scan_with_shared_runs(data):
     _check_index_against_scan(data, _shared_run_values, _SHARED_RUNS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rule_t2d_recovery_implies_selection_finds_every_value(data):
+    # the model and condition 1 read one rule, so a text the model recovers
+    # all of x from holds every value of x for the selection too
+    x = data.draw(_catalogs())[0]
+    # x's mentions in any order, so that it is often recovered, then noise
+    mentions = data.draw(st.permutations([_mention(r) for r in x.records]))
+    text = " ".join(mentions) + data.draw(st.sampled_from(_JOINERS)) + _draw_text(data, [x], _ATOMS)
+    out = RuleBasedT2D([x]).generate(text)
+    if out and x.record_keys <= delinearize(out, x.kind).record_set.record_keys:
+        assert Condition.MISSING_SOURCE_VALUE not in selection._judge_candidate(x, "", text, None)
 
 
 def test_rule_t2d_index_matches_full_scan_on_dart_like_catalog():
@@ -272,15 +286,15 @@ def test_token_pattern_is_isalnum_runs():
 
 
 def _generate_counting_searches(monkeypatch, catalogs, text):
-    """Each catalog's output for `text` and its number of _find_bounded calls."""
+    """Each catalog's output for `text` and its number of find_bounded calls."""
     calls = 0
 
     def counting(*args):
         nonlocal calls
         calls += 1
-        return _find_bounded(*args)
+        return find_bounded(*args)
 
-    monkeypatch.setattr(gateway, "_find_bounded", counting)
+    monkeypatch.setattr(gateway, "find_bounded", counting)
     outputs, counts = [], []
     for catalog in catalogs:
         t2d = RuleBasedT2D(catalog)
@@ -593,6 +607,19 @@ def test_wire_bad_payload_shapes(echo_server):
     assert [r["ok"] for r in replies] == [False, False, False]
 
 
+@pytest.mark.parametrize(
+    "limits",
+    [{"max_len": True, "min_len": "3"}, {"max_len": True}, {"min_len": "3"}, {"max_len": 256.0}],
+    ids=["bool-and-string", "bool", "string", "float"],
+)
+def test_wire_refuses_decode_limits_that_are_not_integers(echo_server, limits):
+    # int() would read JSON true as 1, "3" as 3 and 256.0 as 256
+    request = {"id": 1, "cmd": "generate", "inputs": ["A : LIKES : B"], **limits}
+    (resp,) = _raw_roundtrip(echo_server.endpoint, [json.dumps(request)])
+    assert resp["ok"] is False
+    assert "decode limits must be integers" in resp["error"]
+
+
 class _RecordingServable(RuleServable):
     def __init__(self):
         super().__init__(RuleBasedD2T())
@@ -677,9 +704,10 @@ class _ScriptedServer:
     """Mock model server that answers its n-th request as `script[n]` says:
     "ok" echoes the inputs, "refuse" answers ok false, "stall" never answers,
     "eof" closes the connection, "garbage" sends a non-JSON line, "wrong-id"
-    answers under another id, "bool-id" under the id true, "long" sends
-    one byte more than `gateway.MAX_LINE_BYTES` with no newline and stalls,
-    and "half" sends a whole reply object without its newline and closes.
+    answers under another id, "bool-id" under the id true, "bool-loss"
+    answers ok with the loss true, "long" sends one byte more than
+    `gateway.MAX_LINE_BYTES` with no newline and stalls, and "half" sends a
+    whole reply object without its newline and closes.
     Records (connection, id) per request.
     """
 
@@ -712,6 +740,8 @@ class _ScriptedServer:
                         return
                     rid = {"wrong-id": req["id"] + 1, "bool-id": True}.get(action, req["id"])
                     reply = {"id": rid, "ok": action != "refuse", "outputs": req.get("inputs")}
+                    if action == "bool-loss":
+                        reply["loss"] = True
                     if action == "half":
                         self.wfile.write(json.dumps(reply).encode())
                         return
@@ -768,6 +798,19 @@ def test_remote_servable_keeps_connection_after_refusal():
             with pytest.raises(GatewayError, match="server refused"):
                 remote.generate(["first"], MAX_LEN, MIN_LEN)
             assert remote.generate(["second"], MAX_LEN, MIN_LEN) == ["second"]
+        finally:
+            remote.close()
+    assert srv.requests == [(0, 1), (0, 2)]
+
+
+def test_remote_servable_refuses_a_boolean_loss():
+    # JSON true is not a loss, though Python's float(True) == 1.0
+    with _ScriptedServer(["bool-loss", "ok"]) as srv:
+        remote = RemoteServable(srv.endpoint)
+        try:
+            with pytest.raises(GatewayError, match="non-numeric loss: True"):
+                remote.train([("a", "b")])
+            assert remote.train([("c", "d")]) is None
         finally:
             remote.close()
     assert srv.requests == [(0, 1), (0, 2)]

@@ -25,6 +25,7 @@ _KERNELS = {
     "source_values",
     "folded_values",
     "record_keys",
+    "find_bounded",
 }
 
 

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import time
 import weakref
 from dataclasses import replace
 
@@ -331,6 +332,18 @@ class TestFullRuns:
             "evaluate-test",
         ):
             assert key in report.timing
+
+    def test_audit_is_timed_apart(self, small_splits, monkeypatch):
+        # the re-judging of each epoch's self-memory pairs runs under "audit"
+        def slow_judge(tup):
+            time.sleep(0.001)
+            return selection.judge_pair(tup)
+
+        monkeypatch.setattr(pipeline, "judge_pair", slow_judge)
+        report = Orchestrator(make_config(small_splits, method=Method.SELF_MEM)).run()
+        assert report.audit["checks"][0]["detail"] == "36 pairs re-judged"
+        assert report.timing["audit"] >= 36 * 0.001
+        assert "audit" in Orchestrator(make_config(small_splits, method=Method.NO_SELF_MEM_1)).run().timing
 
     def test_self_t2d_method_trains_t2d(self, small_splits):
         report = Orchestrator(

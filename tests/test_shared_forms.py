@@ -18,7 +18,10 @@ from d2t_selftrain import (
     RecordFieldError,
     RecordKind,
     RecordSet,
+    RuleBasedT2D,
+    SelfMemTuple,
     evaluate_corpus,
+    judge_pair,
     optimize_target,
     selection,
 )
@@ -136,7 +139,7 @@ def _check_against_value_in_text(x, text):
     values = oracles.source_values(x)
     assert list(x.source_values) == values
     want = [oracles.value_in_text(v, text) for v in values]
-    assert [v in fold(text) for v in x.folded_values] == want
+    assert [oracles.value_in_text(k, text) for k in x.folded_values] == want
     assert metrics.epm(x, text) == oracles.epm(values, text)
     failed = selection._judge_candidate(x, "gold", text, None)
     assert (Condition.MISSING_SOURCE_VALUE in failed) == (not all(want))
@@ -172,7 +175,7 @@ def test_folded_value_checks_agree_with_value_in_text(values, text):
     x = RecordSet(tuple(Mr(f"k{i}", v) for i, v in enumerate(kept)), RecordKind.MR_SET)
     # each raw value's verdict is read off its stored, folded form
     assert set(x.folded_values) == {fold(v) for v in kept}
-    assert [fold(v) in fold(text) for v in kept] == [oracles.value_in_text(v, text) for v in kept]
+    assert [oracles.value_in_text(fold(v), text) for v in kept] == [oracles.value_in_text(v, text) for v in kept]
     _check_against_value_in_text(x, text)
 
 
@@ -192,3 +195,24 @@ def test_folded_value_checks_agree_on_record_values(fields, text):
         return
     x = RecordSet(tuple(Mr(f"k{i}", f) for i, f in enumerate(fields)), RecordKind.MR_SET)
     _check_against_value_in_text(x, text)
+
+
+# E2E-shaped values that the text holds only inside a longer word or number
+_PROBES = [
+    ("familyFriendly", "no", "The Eagle is known for Indian food. It is not cheap."),
+    ("eatType", "pub", "The Eagle serves Indian food. It is a public house."),
+    ("customer rating", "1 out of 5", "The Eagle serves Indian food. It is rated 1 out of 50."),
+]
+
+
+@pytest.mark.parametrize("key, value, text", _PROBES, ids=[v for _, v, _ in _PROBES])
+def test_a_value_inside_a_longer_word_is_missing(key, value, text):
+    x = RecordSet((Mr("name", "The Eagle"), Mr("food", "Indian"), Mr(key, value)), RecordKind.MR_SET)
+    assert metrics.epm(x, text) == 2 / 3
+    verdict = judge_pair(SelfMemTuple(x, text + " It is a fine place.", y_prime=text, x_prime=x))
+    assert verdict.failed_conditions == (Condition.MISSING_SOURCE_VALUE,)
+    outcome = optimize_target(x, text)
+    assert value not in outcome.matched_values
+    assert outcome.kept_sentences == (text.split(". ")[0] + ".",)
+    # and the T2D model, reading the same rule, recovers all but that record
+    assert RuleBasedT2D([x]).generate(text) == "name : The Eagle | food : Indian"
