@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from .errors import DatasetError, LinearizationError, RecordFieldError
 from .linearize import linearize
-from .records import Example, Mr, RecordKind, RecordSet, Triple, make_record
+from .records import SUBJECT_KEY, Example, Mr, RecordKind, RecordSet, Triple, make_record
 
 
 class SplitName(enum.Enum):
@@ -165,8 +165,8 @@ def load_e2e(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Datas
             warnings.append(f"row {i}: unparseable mr ({exc}), skipped")
             continue
         rs = RecordSet(records, RecordKind.MR_SET)
-        subject_key = "name"
-        if not any(r.key.casefold() == "name" for r in records):
+        subject_key = SUBJECT_KEY
+        if not any(r.is_subject for r in records):
             # no common-subject pair; fall back to the first pair as subject
             subject_key = records[0].key
             warnings.append(f"row {i}: no name attribute, using {subject_key!r} as subject")

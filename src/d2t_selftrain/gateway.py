@@ -4,25 +4,32 @@ A ModelHandle binds a model direction to a servable: an object with
 generate/train/save/load, plus close. RuleServable runs a deterministic
 rule-based baseline in process, which makes the whole pipeline runnable on a
 desk; RemoteServable forwards each call to an external trainable model
-server speaking newline-delimited JSON over TCP. generate_batch, train_batch
-and checkpoint make the same checks on either servable.
+server speaking newline-delimited JSON over TCP and passes the reply fields
+on as they came. The batch calls own the servable contract, whatever the
+servable: generate_batch refuses an answer that is not a list of one string
+per input, and train_batch a loss that is neither None nor a finite int or
+float. A servable that breaks it raises GatewayError, as a transport fault
+does.
 
 Wire protocol, one JSON object per line, UTF-8:
   request  {"id": n, "cmd": "generate"|"train"|"save"|"load"|"shutdown", ...}
   response {"id": n, "ok": true|false, ...}
 ids are strictly increasing per connection with one request in flight at a
-time. Both ends read a message with read_message: a line of at most
+time. Both ends write a message with write_message, one line of JSON with no
+NaN or Infinity, and read one with read_message: a line of at most
 MAX_LINE_BYTES, ending in a newline, holding a JSON object with an integer
-id. Payload fields: inputs/max_len/min_len -> outputs (generate),
-pairs -> loss (train), tag (save/load), error (any failure). Every generate
-request carries the fixed decode limits MAX_LEN (256) and MIN_LEN (4), the
-values the run report records.
+id, and refused if it holds a NaN or Infinity token. Payload fields:
+inputs/max_len/min_len -> outputs (generate), pairs -> loss (train), tag
+(save/load), error (any failure). Every generate request carries the fixed
+decode limits MAX_LEN (256) and MIN_LEN (4), the values the run report
+records.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 import socket
 from collections import Counter
 from dataclasses import dataclass
@@ -84,8 +91,9 @@ class RuleBasedD2T:
     """Deterministic template renderer standing in for a D2T model.
 
     Each record becomes one sentence: "<subject> <predicate phrase> <object>."
-    for triples, "<name value> <key phrase> <value>." for MR pairs (the name
-    pair supplies the subject and is not rendered on its own).
+    for triples, "<name value> <key phrase> <value>." for MR pairs (the
+    subject pair, keyed `records.SUBJECT_KEY`, supplies the subject and is not
+    rendered on its own).
     """
 
     def generate(self, source_text: str) -> str:
@@ -97,10 +105,8 @@ class RuleBasedD2T:
                 f"{t.subject} {_phrase(t.predicate)} {t.object}." for t in rs.records
             ]
         else:
-            name = next(
-                (m.value for m in rs.records if m.key.casefold() == "name"), None
-            )
-            others = [m for m in rs.records if m.key.casefold() != "name"]
+            name = next((m.value for m in rs.records if m.is_subject), None)
+            others = [m for m in rs.records if not m.is_subject]
             if name is None:
                 sentences = [f"{_phrase(m.key)} {m.value}." for m in rs.records]
             elif not others:
@@ -157,8 +163,8 @@ class RuleBasedT2D:
                 key = (r.label.casefold(), values)
                 if key in entries:
                     continue
-                # an MR set's name pair is its subject: its value alone recovers it
-                evidence = None if mr_set and key[0] == "name" else _phrase(r.label).casefold()
+                # an MR set's subject pair: its value alone recovers it
+                evidence = None if mr_set and r.is_subject else _phrase(r.label).casefold()
                 by_first.setdefault(values[0], []).append(len(entries))
                 entries[key] = _CatalogEntry(r, values, evidence)
         self._entries = tuple(entries.values())
@@ -262,12 +268,31 @@ _REQUEST_TIMEOUT = 600.0
 MAX_LINE_BYTES = 64 * 2**20
 
 
+def write_message(stream: BinaryIO, msg: dict) -> None:
+    """Write one wire message to a binary stream, for either end: UTF-8 JSON
+    on one line, then flush. A message JSON cannot carry raises before a byte
+    is written: ValueError for NaN, an infinity or a lone surrogate, TypeError
+    for a value JSON has no form for."""
+    stream.write(_ENCODER.encode(msg).encode("utf-8") + b"\n")
+    stream.flush()
+
+
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
+# Built once: json.dumps/json.loads build a new coder per call given options
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def read_message(stream: BinaryIO) -> Optional[dict]:
     """One wire message from a binary stream, for either end: None at a clean
     end of stream, else a JSON object with an integer id. GatewayError for a
     line over MAX_LINE_BYTES, one cut off at end of stream before its newline,
-    or one that is not UTF-8 JSON holding such an object. Each end reacts to
-    the error and checks the id's order itself."""
+    or one that is not UTF-8 JSON holding such an object (NaN, Infinity and
+    -Infinity are not JSON). Each end reacts to the error and checks the id's
+    order itself."""
     line = stream.readline(MAX_LINE_BYTES + 1)
     if not line:
         return None
@@ -276,7 +301,7 @@ def read_message(stream: BinaryIO) -> Optional[dict]:
     if not line.endswith(b"\n"):
         raise GatewayError(f"line cut off at end of stream: {line[:200]!r}")
     try:
-        msg = json.loads(line.decode("utf-8"))
+        msg = _DECODER.decode(line.decode("utf-8"))
     # ValueError covers bad UTF-8 and bad JSON; nesting too deep recurses
     except (ValueError, RecursionError) as exc:
         raise GatewayError(f"malformed line: {line[:200]!r}") from exc
@@ -304,6 +329,7 @@ class RemoteServable:
     timeout, end of stream, a reply cut off before its newline, malformed or
     over-long line, wrong id) closes the connection and the next call opens
     a new one; a server's refusal (ok false) keeps it. Nothing is retried.
+    The reply fields are passed on as they came: the batch calls check them.
     """
 
     backend = Backend.EXTERNAL
@@ -318,8 +344,7 @@ class RemoteServable:
             self._sock = socket.create_connection(self._address, timeout=_REQUEST_TIMEOUT)
         except OSError as exc:
             raise GatewayError(f"cannot connect to model server at {self.endpoint}: {exc}") from exc
-        self._reader = self._sock.makefile("rb")
-        self._writer = self._sock.makefile("w", encoding="utf-8", newline="\n")
+        self._stream = self._sock.makefile("rwb")
         self._next_id = 1
 
     def _request(self, cmd: str, **payload) -> dict:
@@ -342,9 +367,8 @@ class RemoteServable:
         """Send one request and read its reply; GatewayError on any transport
         or framing failure."""
         try:
-            self._writer.write(json.dumps({"id": rid, "cmd": cmd, **payload}, ensure_ascii=False) + "\n")
-            self._writer.flush()
-            resp = read_message(self._reader)
+            write_message(self._stream, {"id": rid, "cmd": cmd, **payload})
+            resp = read_message(self._stream)
         except OSError as exc:
             raise GatewayError(f"connection lost during {cmd!r}: {exc}") from exc
         except GatewayError as exc:
@@ -356,18 +380,10 @@ class RemoteServable:
         return resp
 
     def generate(self, inputs: Sequence[str], max_len: int, min_len: int) -> list[str]:
-        resp = self._request("generate", inputs=list(inputs), max_len=max_len, min_len=min_len)
-        outputs = resp.get("outputs")
-        if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-            raise GatewayError(f"generate response lacks a string 'outputs' list: {resp!r}")
-        return outputs
+        return self._request("generate", inputs=list(inputs), max_len=max_len, min_len=min_len).get("outputs")
 
     def train(self, pairs: Sequence[tuple[str, str]]) -> Optional[float]:
-        loss = self._request("train", pairs=[[s, t] for s, t in pairs]).get("loss")
-        # type, not isinstance: JSON true is a bool, and True == 1
-        if loss is not None and type(loss) not in (int, float):
-            raise GatewayError(f"train response carries a non-numeric loss: {loss!r}")
-        return None if loss is None else float(loss)
+        return self._request("train", pairs=[[s, t] for s, t in pairs]).get("loss")
 
     def save(self, tag: str) -> None:
         self._request("save", tag=tag)
@@ -386,7 +402,7 @@ class RemoteServable:
     def close(self) -> None:
         if self._sock is None:
             return
-        for stream in (self._reader, self._writer, self._sock):
+        for stream in (self._stream, self._sock):
             try:
                 stream.close()
             except OSError:
@@ -435,24 +451,42 @@ def external_handle(direction: Direction, endpoint: str) -> ModelHandle:
     return ModelHandle(direction, RemoteServable(endpoint))
 
 
+def _where(h: ModelHandle) -> str:
+    return f"{h.direction.value} at {h.endpoint or 'in process'}"
+
+
 def generate_batch(h: ModelHandle, inputs: Sequence[str]) -> list[str]:
-    """One output per input, order preserved, whatever the servable."""
+    """One output per input, order preserved, whatever the servable;
+    GatewayError for an answer that is not a list of that many strings."""
     if not inputs:
         raise ValueError("generate_batch needs a non-empty input batch")
     outputs = h.servable.generate(inputs, max_len=MAX_LEN, min_len=MIN_LEN)
+    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+        raise GatewayError(f"generate answer is not a list of strings ({_where(h)}): {outputs!r:.200}")
     if len(outputs) != len(inputs):
-        raise GatewayError(
-            f"generate batch of {len(inputs)} got {len(outputs)} outputs "
-            f"({h.direction.value} at {h.endpoint or 'in process'})"
-        )
+        raise GatewayError(f"generate batch of {len(inputs)} got {len(outputs)} outputs ({_where(h)})")
     return outputs
 
 
 def train_batch(h: ModelHandle, pairs: Sequence[tuple[str, str]]) -> TrainAck:
-    """Submit training pairs; the ack carries the loss the servable reports."""
+    """Submit training pairs; the ack carries the loss the servable reports,
+    as a float. GatewayError for a loss that is neither None nor a finite
+    int or float."""
     if not pairs:
         raise ValueError("train_batch needs a non-empty pair batch")
-    return TrainAck(loss=h.servable.train(pairs))
+    loss = h.servable.train(pairs)
+    if loss is None:
+        return TrainAck()
+    # type, not isinstance: JSON true is a bool, and True == 1
+    if type(loss) not in (int, float):
+        raise GatewayError(f"train answered a non-numeric loss: {loss!r} ({_where(h)})")
+    try:
+        finite = math.isfinite(loss)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise GatewayError(f"train answered a non-finite loss: {loss!r:.40} ({_where(h)})")
+    return TrainAck(loss=float(loss))
 
 
 def checkpoint(h: ModelHandle, action: CheckpointAction, tag: str) -> None:

@@ -21,6 +21,7 @@ from .errors import DelinearizeError, LinearizationError
 from .records import (
     FIELD_SEP,
     RECORD_SEP,
+    SUBJECT_KEY,
     Record,
     RecordKind,
     RecordSet,
@@ -54,7 +55,7 @@ def render_records(records) -> str:
     return RECORD_SEP.join(FIELD_SEP.join(r.fields) for r in records)
 
 
-def linearize(rs: RecordSet, subject_key: str = "name") -> str:
+def linearize(rs: RecordSet, subject_key: str = SUBJECT_KEY) -> str:
     """Render a valid record set in the linear string format.
 
     For MR sets the common-subject pair, the one keyed `subject_key`

@@ -108,6 +108,11 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def _write_json(path, obj) -> None:
+    """The one form a run writes a file in: indented, sorted, UTF-8."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
 @dataclass
 class RunConfig:
     method: Method
@@ -256,10 +261,7 @@ class RunReport:
         return out
 
     def write(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(path, self.to_dict())
 
 
 class Orchestrator:
@@ -303,7 +305,6 @@ class Orchestrator:
         self._selection = _selection_stats((), ())
         self._revalidated = 0
         self._stale: list[str] = []
-        self._subset_sizes: list[int] = []
         self._drawn_from_reserve: set[tuple[str, str]] = set()
 
     @contextmanager
@@ -315,10 +316,8 @@ class Orchestrator:
             self.timing[key] = self.timing.get(key, 0.0) + time.perf_counter() - t0
 
     def _parse_records(self, text: str) -> RecordSet:
-        """Interpret T2D output; anything unparseable is an empty set, which
-        downstream judging treats as a failed reconstruction."""
-        if not text.strip():
-            return RecordSet.empty(self.kind)
+        """Interpret T2D output; anything unparseable, a blank text too, is an
+        empty set, which downstream judging treats as a failed reconstruction."""
         try:
             return delinearize(text, self.kind).record_set
         except DelinearizeError:
@@ -481,7 +480,6 @@ class Orchestrator:
         _add_counts(self._selection, self._summaries[-1]["selection"])
         # timed apart from the summary, whose digest hashes the whole trace
         with self._timed("audit"):
-            self._subset_sizes.append(len(trace.subset))
             for pair in trace.subset:
                 if pair.origin is Origin.GOLD and self.cfg.method.uses_self_memory:
                     # a self-memory subset's gold pairs are reserve top-ups
@@ -502,6 +500,7 @@ class Orchestrator:
     def audit(self) -> dict:
         """Consistency checks over the facts each epoch left as it ended."""
         stale = self._stale
+        subset_sizes = [s["subset_size"] for s in self._summaries]
         checks = [
             {
                 "name": "self-memory-pairs-revalidate",
@@ -510,8 +509,8 @@ class Orchestrator:
             },
             {
                 "name": "subset-size-equals-step1-size",
-                "passed": all(n == self.plan.block_size for n in self._subset_sizes),
-                "detail": f"block size {self.plan.block_size}, subset sizes {self._subset_sizes}",
+                "passed": all(n == self.plan.block_size for n in subset_sizes),
+                "detail": f"block size {self.plan.block_size}, subset sizes {subset_sizes}",
             },
         ]
 
@@ -552,9 +551,7 @@ class Orchestrator:
         }
         self.last_snapshot = snapshot
         if self.cfg.resume_path is not None:
-            Path(self.cfg.resume_path).write_text(
-                json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            _write_json(self.cfg.resume_path, snapshot)
         return snapshot
 
     def run(self) -> RunReport:

@@ -15,7 +15,9 @@ fields a text about the record should mention) and `label` (the field that
 says how they relate); `make_record` builds the variant of a RecordKind.
 A RecordSet owns the forms a text is checked against: its `source_values`,
 their `folded_values` (compared with `fold` of the text) and its
-`record_keys`, each derived once per instance on first use.
+`record_keys`, each derived once per instance on first use. An MR set's
+subject pair is the one keyed SUBJECT_KEY (`Mr.is_subject`), for the
+linearizer, the E2E loader and the rule-based models alike.
 
 One rule says whether a value appears in a text, for the T2D model, the
 selection's condition 1, EPM and the optimizer alike: `find_bounded` finds
@@ -35,6 +37,9 @@ from .errors import RecordFieldError, VariantMismatchError
 
 RECORD_SEP = " | "
 FIELD_SEP = " : "
+
+# The key of an MR set's subject pair, the one its other pairs are about
+SUBJECT_KEY = "name"
 
 
 def normalize_text(t: str) -> str:
@@ -136,6 +141,11 @@ class Mr:
     @property
     def label(self) -> str:
         return self.key
+
+    @property
+    def is_subject(self) -> bool:
+        """Whether this is its MR set's subject pair: its key, case-folded, is SUBJECT_KEY."""
+        return self.key.casefold() == SUBJECT_KEY
 
 
 Record = Union[Triple, Mr]

@@ -7,17 +7,20 @@ of `gateway` re-exported here, wraps the deterministic rule-based baselines
 and answers train requests with a pseudo loss equal to the pair count. Real
 model servers only need to reproduce the same five commands.
 
-Protocol per connection: requests are read by `gateway.read_message`, the
-framing the client applies to replies, and their ids must be strictly
-increasing. A line that breaks the framing (over-long, cut off at end of
-stream, not a JSON object, no integer id) or an id out of order is answered
-with ok=false and the connection dropped. A read or write that fails (the
-client reset or went away) ends the connection quietly.
+Protocol per connection: requests are read by `gateway.read_message` and
+replies written by `gateway.write_message`, the framing the client uses the
+other way round, and request ids must be strictly increasing. A line that
+breaks the framing (over-long, cut off at end of stream, not a JSON object,
+NaN or Infinity inside, no integer id) or an id out of order is answered
+with ok=false and the connection dropped. A servable's error, or an answer
+JSON cannot carry (a NaN loss, say), is answered with ok=false and the
+connection kept. A read or write that fails (the client reset or went away)
+ends the connection quietly. What a servable answers is checked by the
+client's batch calls, not here.
 """
 
 from __future__ import annotations
 
-import json
 import socketserver
 import threading
 from typing import Optional
@@ -30,7 +33,12 @@ from .gateway import RuleServable  # noqa: F401 -- re-exported with the server
 
 class _Handler(socketserver.StreamRequestHandler):
     def _reply(self, payload: dict) -> None:
-        self.wfile.write((json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8"))
+        try:
+            gateway.write_message(self.wfile, payload)
+        except (TypeError, ValueError) as exc:
+            # refused before a byte went out, so the line can still be an answer
+            error = f"the servable's answer is not JSON: {exc}"
+            gateway.write_message(self.wfile, {"id": payload["id"], "ok": False, "error": error})
 
     def handle(self) -> None:
         try:

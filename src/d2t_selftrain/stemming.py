@@ -62,21 +62,24 @@ def _replace(word: str, suffix: str, repl: str) -> str:
     return word[: len(word) - len(suffix)] + repl
 
 
-def _rule_table(word: str, rules: list[tuple[str, str, int]]) -> str:
-    """Apply the longest-suffix rule whose measure condition holds.
+def _rule_table(word: str, rules: list[tuple]) -> str:
+    """Apply the longest-suffix rule whose conditions hold.
 
-    Per the algorithm, only the longest matching suffix is considered; if
-    its condition fails, no other rule in the step fires.
+    A rule is (suffix, replacement, m) or (suffix, replacement, m, ends): the
+    stem left by the suffix must have a measure above m and, if `ends` is
+    given, end with one of its strings. Per the algorithm, only the longest
+    matching suffix is considered; if its conditions fail, no other rule in
+    the step fires.
     """
     best = None
-    for suffix, repl, min_m in rules:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best[0])):
-            best = (suffix, repl, min_m)
+    for rule in rules:
+        if word.endswith(rule[0]) and (best is None or len(rule[0]) > len(best[0])):
+            best = rule
     if best is None:
         return word
-    suffix, repl, min_m = best
+    suffix, repl, min_m, *ends = best
     stem = word[: len(word) - len(suffix)]
-    if _measure(stem) > min_m:
+    if _measure(stem) > min_m and all(stem.endswith(e) for e in ends):
         return stem + repl
     return word
 
@@ -141,27 +144,8 @@ _STEP4 = [
     ("ement", "", 1), ("ment", "", 1), ("ent", "", 1), ("ou", "", 1),
     ("ism", "", 1), ("ate", "", 1), ("iti", "", 1), ("ous", "", 1),
     ("ive", "", 1), ("ize", "", 1),
+    ("ion", "", 1, ("s", "t")),  # only after s or t
 ]
-
-
-def _step4(word: str) -> str:
-    # "ion" deletes only after s or t, checked on top of the m > 1 condition
-    best = None
-    for suffix, repl, min_m in _STEP4:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best[0])):
-            best = (suffix, repl, min_m)
-    if word.endswith("ion") and (best is None or len("ion") > len(best[0])):
-        stem = word[:-3]
-        if stem and stem[-1] in "st" and _measure(stem) > 1:
-            return stem
-        return word
-    if best is None:
-        return word
-    suffix, repl, min_m = best
-    stem = word[: len(word) - len(suffix)]
-    if _measure(stem) > min_m:
-        return stem + repl
-    return word
 
 
 def _step5a(word: str) -> str:
@@ -193,7 +177,7 @@ def stem(word: str) -> str:
     word = _step1c(word)
     word = _rule_table(word, _STEP2)
     word = _rule_table(word, _STEP3)
-    word = _step4(word)
+    word = _rule_table(word, _STEP4)
     word = _step5a(word)
     word = _step5b(word)
     return word

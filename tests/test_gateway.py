@@ -521,6 +521,96 @@ def test_servable_conformance_length_check(d2t_handle_for):
         generate_batch(h, ["A : P : B", "C : P : D"])
 
 
+class _AnswersNone(RuleServable):
+    def generate(self, inputs, max_len, min_len):
+        return [None] * len(inputs)
+
+
+def test_servable_conformance_output_type_check(d2t_handle_for):
+    h = d2t_handle_for(_AnswersNone(RuleBasedD2T()))
+    with pytest.raises(GatewayError, match="not a list of strings"):
+        generate_batch(h, ["A : P : B", "C : P : D"])
+
+
+@pytest.mark.parametrize("answer", [("out",), "out", {"out": 1}, [b"out"]], ids=["tuple", "str", "dict", "bytes"])
+def test_generate_batch_refuses_an_in_process_answer_that_is_not_a_list_of_strings(answer):
+    class Answers(RuleServable):
+        def generate(self, inputs, max_len, min_len):
+            return answer
+
+    with pytest.raises(GatewayError, match="not a list of strings"):
+        generate_batch(ModelHandle(Direction.D2T, Answers(RuleBasedD2T())), ["A : P : B"])
+
+
+class _AnswersLoss(RuleServable):
+    def __init__(self, loss):
+        super().__init__(RuleBasedD2T())
+        self.loss = loss
+
+    def train(self, pairs):
+        return self.loss
+
+
+@pytest.mark.parametrize(
+    "loss, error",
+    [
+        (True, "non-numeric loss: True"),
+        ("1.5", "non-numeric loss: '1.5'"),
+        (float("nan"), "non-finite loss: nan"),
+        (float("inf"), "non-finite loss: inf"),
+        (-float("inf"), "non-finite loss: -inf"),
+        (10**400, "non-finite loss: 1000"),  # an int past the float range
+    ],
+    ids=["bool", "str", "nan", "inf", "-inf", "huge-int"],
+)
+def test_train_batch_refuses_an_in_process_loss_that_is_not_a_finite_number(loss, error):
+    h = ModelHandle(Direction.D2T, _AnswersLoss(loss))
+    with pytest.raises(GatewayError, match=error):
+        train_batch(h, [("a", "b")])
+
+
+@pytest.mark.parametrize("loss", [None, 0, 2, 0.25, -1.5], ids=["none", "zero", "int", "float", "negative"])
+def test_train_batch_passes_on_a_finite_loss_as_a_float(d2t_handle_for, loss):
+    ack = train_batch(d2t_handle_for(_AnswersLoss(loss)), [("a", "b")])
+    assert ack.loss == loss and type(ack.loss) is (type(None) if loss is None else float)
+
+
+@pytest.mark.parametrize("loss", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_servable_conformance_non_finite_loss(d2t_handle_for, loss):
+    h = d2t_handle_for(_AnswersLoss(loss))
+    with pytest.raises(GatewayError, match="non-finite loss|not JSON"):
+        train_batch(h, [("a", "b")])
+    # the refusal leaves the handle usable
+    checkpoint(h, CheckpointAction.SAVE, "after")
+
+
+def test_server_refuses_a_non_finite_loss_without_writing_nan():
+    with ModelServer(_AnswersLoss(float("nan"))) as server:
+        host, port = server.endpoint.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as sock, sock.makefile("rb") as f:
+            sock.sendall(json.dumps({"id": 1, "cmd": "train", "pairs": [["a", "b"]]}).encode() + b"\n")
+            line = f.readline()
+            # the handler thread lives on and keeps the connection
+            sock.sendall(json.dumps({"id": 2, "cmd": "save", "tag": "t"}).encode() + b"\n")
+            assert json.loads(f.readline()) == {"id": 2, "ok": True}
+    assert b"NaN" not in line and b"Infinity" not in line
+    resp = json.loads(line)
+    assert resp["id"] == 1 and resp["ok"] is False
+    assert "not JSON" in resp["error"]
+
+
+def test_write_message_refuses_what_json_cannot_carry():
+    for msg in ({"id": 1, "loss": float("nan")}, {"id": 1, "loss": -float("inf")}, {"id": 1, "x": "\ud800"}):
+        stream = io.BytesIO()
+        with pytest.raises(ValueError):
+            gateway.write_message(stream, msg)
+        assert stream.getvalue() == b""  # refused before a byte was written
+    stream = io.BytesIO()
+    gateway.write_message(stream, {"id": 1, "text": "Ålesund"})
+    assert stream.getvalue() == '{"id": 1, "text": "Ålesund"}\n'.encode("utf-8")
+    assert gateway.read_message(io.BytesIO(stream.getvalue())) == {"id": 1, "text": "Ålesund"}
+
+
 def _raw_roundtrip(endpoint, lines):
     host, port = endpoint.rsplit(":", 1)
     replies = []
@@ -697,6 +787,13 @@ def test_read_message_returns_a_message_none_or_gateway_error(data, cap):
     pytest.fail("the reader neither ended nor refused the stream")
 
 
+@pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"-Infinity"])
+def test_read_message_refuses_non_finite_constants(token):
+    for line in (b'{"id": 1, "loss": %s}\n' % token, b'{"id": 1, "x": [1, {"y": %s}]}\n' % token):
+        with pytest.raises(GatewayError, match="malformed line"):
+            gateway.read_message(io.BytesIO(line))
+
+
 # ------------------------------------------------------------ transport faults
 
 
@@ -705,7 +802,9 @@ class _ScriptedServer:
     "ok" echoes the inputs, "refuse" answers ok false, "stall" never answers,
     "eof" closes the connection, "garbage" sends a non-JSON line, "wrong-id"
     answers under another id, "bool-id" under the id true, "bool-loss"
-    answers ok with the loss true, "long" sends one byte more than
+    answers ok with the loss true, "inf-loss" with the loss 1e999 (which
+    JSON parsers read as infinity), "nan-loss" with the loss NaN (which is
+    not JSON), "long" sends one byte more than
     `gateway.MAX_LINE_BYTES` with no newline and stalls, and "half" sends a
     whole reply object without its newline and closes.
     Records (connection, id) per request.
@@ -745,7 +844,11 @@ class _ScriptedServer:
                     if action == "half":
                         self.wfile.write(json.dumps(reply).encode())
                         return
-                    self.wfile.write((json.dumps(reply) + "\n").encode())
+                    line = json.dumps(reply)
+                    if action in ("inf-loss", "nan-loss"):
+                        token = "1e999" if action == "inf-loss" else "NaN"
+                        line = line[:-1] + f', "loss": {token}}}'
+                    self.wfile.write((line + "\n").encode())
 
         self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
         self._server.daemon_threads = True
@@ -762,7 +865,7 @@ class _ScriptedServer:
         self._server.server_close()
 
 
-@pytest.mark.parametrize("fault", ["stall", "eof", "garbage", "wrong-id", "bool-id", "half"])
+@pytest.mark.parametrize("fault", ["stall", "eof", "garbage", "wrong-id", "bool-id", "half", "nan-loss"])
 def test_remote_servable_reconnects_after_transport_fault(monkeypatch, fault):
     monkeypatch.setattr(gateway, "_REQUEST_TIMEOUT", 0.5)
     with _ScriptedServer([fault, "ok"]) as srv:
@@ -806,13 +909,27 @@ def test_remote_servable_keeps_connection_after_refusal():
 def test_remote_servable_refuses_a_boolean_loss():
     # JSON true is not a loss, though Python's float(True) == 1.0
     with _ScriptedServer(["bool-loss", "ok"]) as srv:
-        remote = RemoteServable(srv.endpoint)
+        h = external_handle(Direction.D2T, srv.endpoint)
         try:
             with pytest.raises(GatewayError, match="non-numeric loss: True"):
-                remote.train([("a", "b")])
-            assert remote.train([("c", "d")]) is None
+                train_batch(h, [("a", "b")])
+            assert train_batch(h, [("c", "d")]).loss is None
         finally:
-            remote.close()
+            h.close()
+    assert srv.requests == [(0, 1), (0, 2)]
+
+
+def test_remote_servable_refuses_an_infinite_loss():
+    # 1e999 is valid JSON, but reads as infinity
+    with _ScriptedServer(["inf-loss", "ok"]) as srv:
+        h = external_handle(Direction.D2T, srv.endpoint)
+        try:
+            with pytest.raises(GatewayError, match="non-finite loss: inf"):
+                train_batch(h, [("a", "b")])
+            assert train_batch(h, [("c", "d")]).loss is None
+        finally:
+            h.close()
+    # a contract breach is no transport fault: the connection is kept
     assert srv.requests == [(0, 1), (0, 2)]
 
 

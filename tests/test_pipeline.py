@@ -527,6 +527,35 @@ class TestAborts:
         assert data["completed_epochs"] == 2
 
 
+    def test_in_process_contract_breach_ends_in_epoch_error_with_snapshot(self, small_splits, tmp_path):
+        class AnswersNone(RuleServable):
+            def generate(self, inputs, max_len, min_len):
+                return [None] * len(inputs)
+
+        train, val, test = small_splits
+        _, t2d = rule_handles(small_splits)
+        snap = tmp_path / "snapshot.json"
+        cfg = RunConfig(
+            method=Method.SELF_MEM,
+            d2t=ModelHandle(Direction.D2T, AnswersNone(RuleBasedD2T())),
+            t2d=t2d,
+            train=train,
+            val=val,
+            test=test,
+            resume_path=snap,
+        )
+        orch = Orchestrator(cfg)
+        # bootstrap trains; the first epoch's y' inference breaks the contract
+        with pytest.raises(EpochError, match="^epoch 1 aborted: generate answer is not a list of strings") as exc_info:
+            orch.run()
+        assert isinstance(exc_info.value.__cause__, GatewayError)
+        assert exc_info.value.epoch == 0
+        assert orch.last_snapshot["epoch"] == 0
+        assert orch.last_snapshot["completed_epochs"] == 0
+        data = json.loads(snap.read_text(encoding="utf-8"))
+        assert data == orch.last_snapshot
+
+
 def _report_digest(report) -> str:
     """sha256 of the compact, key-sorted report without timing, with server
     endpoints (ephemeral loopback ports) replaced by a placeholder."""
