@@ -29,7 +29,7 @@ from .linearize import delinearize, linearize
 from .metrics import evaluate_corpus
 from .optimize import optimize_target
 from .pipeline import DataMode, Method, Orchestrator, RunConfig
-from .records import RecordKind, RecordSet
+from .records import RecordKind, RecordSet, json_default
 
 EXIT_AUDIT_FAILED = 3
 
@@ -210,7 +210,7 @@ def _cmd_eval(args) -> int:
 def _cmd_optimize(args) -> int:
     rs = delinearize(args.source, RecordKind(args.kind)).record_set
     outcome = optimize_target(rs, args.target)
-    print(json.dumps(outcome.to_dict(), indent=2, ensure_ascii=False))
+    print(json.dumps(outcome, default=json_default, indent=2, ensure_ascii=False))
     return 0
 
 

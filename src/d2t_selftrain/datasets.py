@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from .errors import DatasetError, LinearizationError, RecordFieldError
 from .linearize import linearize
-from .records import SUBJECT_KEY, Example, Mr, RecordKind, RecordSet, Triple, make_record
+from .records import SUBJECT_KEY, Example, Mr, RecordKind, RecordSet, Triple, has_lone_surrogate, make_record
 
 
 class SplitName(enum.Enum):
@@ -45,7 +45,8 @@ def load_dart(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Data
     Each entry holds a "tripleset" (list of [subject, predicate, object])
     and "annotations" whose "text" fields are gold targets; one Example per
     (tripleset, annotation) pair. Multi-annotation entries expand into
-    multiple Examples sharing one source.
+    multiple Examples sharing one source. An entry whose triples or
+    annotation texts hold a lone surrogate is skipped.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
@@ -78,18 +79,17 @@ def load_dart(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Data
             warnings.append(f"entry {i}: no usable triples, skipped")
             continue
         rs = RecordSet(tuple(records), RecordKind.TRIPLESET)
-        try:
-            source_text = linearize(rs)
-        except LinearizationError as exc:
-            warnings.append(f"entry {i}: cannot linearize ({exc}), skipped")
-            continue
+        source_text = linearize(rs)
         annotations = entry.get("annotations")
         if not isinstance(annotations, list) or not annotations:
             warnings.append(f"entry {i}: no annotations, skipped")
             continue
+        texts = [ann.get("text") if isinstance(ann, dict) else ann for ann in annotations]
+        if has_lone_surrogate(source_text) or any(isinstance(t, str) and has_lone_surrogate(t) for t in texts):
+            warnings.append(f"entry {i}: lone surrogate in a triple or an annotation, skipped")
+            continue
         produced = 0
-        for k, ann in enumerate(annotations):
-            text = ann.get("text") if isinstance(ann, dict) else ann
+        for k, text in enumerate(texts):
             if not isinstance(text, str) or not text.strip():
                 warnings.append(f"entry {i}: annotation {k} has no text, dropped")
                 continue

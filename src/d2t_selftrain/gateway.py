@@ -38,7 +38,7 @@ from typing import BinaryIO, NamedTuple, Optional, Sequence, Union
 
 from .errors import DelinearizeError, GatewayError
 from .linearize import delinearize, render_records
-from .records import _TOKEN, Record, RecordKind, RecordSet, find_bounded, fold
+from .records import _TOKEN, Record, RecordKind, RecordSet, find_bounded, fold, has_lone_surrogate
 
 
 class Direction(enum.Enum):
@@ -325,10 +325,11 @@ class RemoteServable:
 
     The endpoint is validated at construction and the connection opened on
     the first request. One NDJSON connection: ids strictly increasing from 1,
-    one request in flight. A transport or framing failure (socket error or
-    timeout, end of stream, a reply cut off before its newline, malformed or
-    over-long line, wrong id) closes the connection and the next call opens
-    a new one; a server's refusal (ok false) keeps it. Nothing is retried.
+    one request in flight. A request JSON cannot carry (a lone surrogate)
+    or a transport or framing failure (socket error or timeout, end of
+    stream, a reply cut off before its newline, malformed or over-long
+    line, wrong id) closes the connection and the next call opens a new
+    one; a server's refusal (ok false) keeps it. Nothing is retried.
     The reply fields are passed on as they came: the batch calls check them.
     """
 
@@ -364,13 +365,15 @@ class RemoteServable:
         return resp
 
     def _exchange(self, rid: int, cmd: str, payload: dict) -> dict:
-        """Send one request and read its reply; GatewayError on any transport
-        or framing failure."""
+        """Send one request and read its reply; GatewayError for a request
+        JSON cannot carry and on any transport or framing failure."""
         try:
             write_message(self._stream, {"id": rid, "cmd": cmd, **payload})
             resp = read_message(self._stream)
         except OSError as exc:
             raise GatewayError(f"connection lost during {cmd!r}: {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise GatewayError(f"cannot send {cmd!r}: {exc}") from exc
         except GatewayError as exc:
             raise GatewayError(f"bad reply to {cmd!r}: {exc}") from exc
         if resp is None:
@@ -457,7 +460,9 @@ def _where(h: ModelHandle) -> str:
 
 def generate_batch(h: ModelHandle, inputs: Sequence[str]) -> list[str]:
     """One output per input, order preserved, whatever the servable;
-    GatewayError for an answer that is not a list of that many strings."""
+    GatewayError for an answer that is not a list of that many strings, or
+    one holding a lone surrogate (a served model's reply can carry one as a
+    JSON escape; UTF-8, and so no digest, report or request, can)."""
     if not inputs:
         raise ValueError("generate_batch needs a non-empty input batch")
     outputs = h.servable.generate(inputs, max_len=MAX_LEN, min_len=MIN_LEN)
@@ -465,6 +470,8 @@ def generate_batch(h: ModelHandle, inputs: Sequence[str]) -> list[str]:
         raise GatewayError(f"generate answer is not a list of strings ({_where(h)}): {outputs!r:.200}")
     if len(outputs) != len(inputs):
         raise GatewayError(f"generate batch of {len(inputs)} got {len(outputs)} outputs ({_where(h)})")
+    if has_lone_surrogate("".join(outputs)):
+        raise GatewayError(f"generate answer holds a lone surrogate ({_where(h)}): {outputs!r:.200}")
     return outputs
 
 

@@ -151,11 +151,10 @@ def bleu(
         if smoothing and n > 1:
             matched, total = matched + 1, total + 1
         precisions.append(matched / total if total else 0.0)
+    # an empty candidate corpus has a zero unigram precision, so cand_len > 0 below
     if any(p == 0.0 for p in precisions):
         return 0.0
     geo = math.exp(sum(math.log(p) for p in precisions) / max_n)
-    if cand_len == 0:
-        return 0.0
     bp = 1.0 if cand_len >= ref_len else math.exp(1 - ref_len / cand_len)
     return bp * geo
 
@@ -186,15 +185,12 @@ def nist(candidates: Sequence[str], references: Sequence[Sequence[str]]) -> floa
     weights: dict[Ngram, float] = {}
 
     def info(gram: Ngram) -> float:
+        # only matched grams get here: a reference holds the gram, and so
+        # its prefix at least as often, so both counts are positive
         weight = weights.get(gram)
         if weight is None:
-            count = ref_counts[gram]
-            if count == 0:
-                weight = 0.0
-            else:
-                parent = total_words if len(gram) == 1 else ref_counts[gram[:-1]]
-                weight = math.log2(parent / count) if parent else 0.0
-            weights[gram] = weight
+            parent = total_words if len(gram) == 1 else ref_counts[gram[:-1]]
+            weight = weights[gram] = math.log2(parent / ref_counts[gram])
         return weight
 
     numer = [0.0] * _NIST_MAX_N

@@ -39,14 +39,6 @@ class OptimizationOutcome:
     matched_values: tuple[str, ...]
     kept_sentences: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "optimized": self.optimized,
-            "changed": self.changed,
-            "matched_values": list(self.matched_values),
-            "kept_sentences": list(self.kept_sentences),
-        }
-
 
 def optimize_target(x: RecordSet, y_prime: str) -> OptimizationOutcome:
     """Greedy sentence selection over `y_prime` against the source values of `x`.

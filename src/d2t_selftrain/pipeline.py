@@ -43,7 +43,7 @@ from .gateway import (
 from .linearize import delinearize
 from .metrics import MetricReport, evaluate_corpus, meteor, osf
 from .optimize import optimize_target
-from .records import Example, Origin, Pair, RecordKind, RecordSet, SelfMemTuple
+from .records import Example, Origin, Pair, RecordKind, RecordSet, SelfMemTuple, json_default
 from .selection import (
     CaseId,
     Condition,
@@ -105,7 +105,7 @@ def strategy_for(method: Method, data_mode: DataMode) -> Strategy:
 
 
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return json.dumps(obj, default=json_default, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def _write_json(path, obj) -> None:
@@ -200,20 +200,8 @@ class EpochTrace:
         if len(self.tuples) != len(self.verdicts):
             raise ValueError("tuples and verdicts must align")
 
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "tuples": [t.to_dict() for t in self.tuples],
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "subset": [p.to_dict() for p in self.subset],
-            "val_meteor_d2t": self.val_meteor_d2t,
-            "val_osf_precision_t2d": self.val_osf_precision_t2d,
-            "checkpoint_saved_d2t": self.checkpoint_saved_d2t,
-            "checkpoint_saved_t2d": self.checkpoint_saved_t2d,
-        }
-
     def digest(self) -> str:
-        return hashlib.sha256(_canonical(self.to_dict()).encode("utf-8")).hexdigest()
+        return hashlib.sha256(_canonical(self).encode("utf-8")).hexdigest()
 
     def summary(self) -> dict:
         return {

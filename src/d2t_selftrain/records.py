@@ -23,14 +23,17 @@ One rule says whether a value appears in a text, for the T2D model, the
 selection's condition 1, EPM and the optimizer alike: `find_bounded` finds
 the value's fold in the text's fold with no alphanumeric character on either
 side, so "no" is not in "known" and "1 out of 5" is not in "1 out of 50".
+
+One rule gives every run value its JSON form, for the epoch digest and the
+optimize command alike: `json_default`, passed as `json`'s `default` hook.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache, cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import RecordFieldError, VariantMismatchError
@@ -56,6 +59,18 @@ def fold(t: str) -> str:
 # run of a value `find_bounded` finds is a whole run of the text, which is
 # what lets `RuleBasedT2D` index its catalog by them.
 _TOKEN = re.compile(r"[^\W_]+")
+
+
+def has_lone_surrogate(text: str) -> bool:
+    """Whether `text` holds a surrogate code point, what a JSON "\\ud800"
+    escape with no low surrogate after it decodes to. UTF-8 has no form for
+    one, so such a text could reach no digest, report or wire message; the
+    UTF-8 encoder fails on nothing else, and tests faster than a regex."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def find_bounded(text: str, phrase: str, consumed: Sequence[tuple[int, int]] = ()) -> Optional[int]:
@@ -308,16 +323,6 @@ class SelfMemTuple:
     y_dprime: Optional[str] = None
     x_dprime: Optional[RecordSet] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x.to_dict(),
-            "y": self.y,
-            "y_prime": self.y_prime,
-            "x_prime": None if self.x_prime is None else self.x_prime.to_dict(),
-            "y_dprime": self.y_dprime,
-            "x_dprime": None if self.x_dprime is None else self.x_dprime.to_dict(),
-        }
-
 
 class Origin(enum.Enum):
     GOLD = "gold"
@@ -342,9 +347,23 @@ class Pair:
     def key(self) -> tuple[str, str]:
         return (self.source_text, self.target_text)
 
-    def to_dict(self) -> dict:
-        return {
-            "source_text": self.source_text,
-            "target_text": self.target_text,
-            "origin": self.origin.value,
-        }
+
+@cache
+def _compared_fields(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.compare)
+
+
+def json_default(value):
+    """The JSON form of a run value, as `json`'s `default` hook: a value with
+    its own `to_dict` (a RecordSet) as that method says, an enum as its
+    value, any other dataclass as the dict of its fields that take part in
+    equality (so no `Pair.tuple_index`). TypeError for anything else."""
+    to_dict = getattr(value, "to_dict", None)
+    if to_dict is not None:
+        return to_dict()
+    if isinstance(value, enum.Enum):
+        return value.value
+    cls = type(value)
+    if is_dataclass(cls):
+        return {name: getattr(value, name) for name in _compared_fields(cls)}
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")

@@ -51,13 +51,6 @@ class SelectionVerdict:
     case_id: CaseId
     failed_conditions: tuple[Condition, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "case_id": self.case_id.value,
-            "failed_conditions": [c.value for c in self.failed_conditions],
-        }
-
 
 def _judge_candidate(
     x: RecordSet, y: str, y_cand: str, x_cand: Optional[RecordSet]

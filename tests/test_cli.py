@@ -134,6 +134,23 @@ class TestOptimizeCommand:
         assert out["changed"] is False
         assert sorted(out["matched_values"]) == ["Thai", "X"]
 
+    def test_output_keeps_field_order_and_non_ascii_text(self, capsys):
+        rc = main(["optimize", "--source", "Zürich : LIES_ON : Straße 5", "--target", "Zürich liegt an der Straße 5. Schön!"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "optimized": "Zürich liegt an der Straße 5.",\n'
+            '  "changed": true,\n'
+            '  "matched_values": [\n'
+            '    "Zürich",\n'
+            '    "Straße 5"\n'
+            "  ],\n"
+            '  "kept_sentences": [\n'
+            '    "Zürich liegt an der Straße 5."\n'
+            "  ]\n"
+            "}\n"
+        )
+
     def test_bad_source(self, capsys):
         assert main(["optimize", "--source", "junk", "--target", "t"]) == 1
         assert "error:" in capsys.readouterr().err

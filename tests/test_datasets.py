@@ -127,6 +127,21 @@ class TestLoadDart:
         ]
         assert warnings[7].startswith("entry 6: triple 1 rejected")
 
+    def test_lone_surrogate_entries_skipped_with_warnings(self, tmp_path):
+        # json.dumps writes "\ud800" escapes, which decode to lone surrogates;
+        # an escaped pair decodes to one character and is kept
+        entries = [
+            {"tripleset": [["A\ud800", "P", "B"]], "annotations": [{"text": "A stands by B."}]},
+            {"tripleset": [["A", "P", "B"]], "annotations": [{"text": "A stands by B."}, {"text": "B \udfff A."}]},
+            {"tripleset": [["A", "P", "B"]], "annotations": ["A \ud800 B."]},
+            {"tripleset": [["A", "P", "B \U0001F600"]], "annotations": [{"text": "A stands by B \U0001F600."}]},
+        ]
+        split = load_dart(_write_dart(tmp_path, entries))
+        assert [ex.source_text for ex in split.examples] == ["A : P : B \U0001F600"]
+        assert split.load_warnings == tuple(
+            f"entry {i}: lone surrogate in a triple or an annotation, skipped" for i in range(3)
+        )
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="cannot read"):
             load_dart(tmp_path / "nope.json")

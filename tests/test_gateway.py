@@ -422,6 +422,18 @@ def test_external_checkpoint_save_load(echo_server):
         h.close()
 
 
+def test_external_request_json_cannot_carry_is_a_gateway_error(echo_server):
+    h = external_handle(Direction.D2T, echo_server.endpoint)
+    try:
+        with pytest.raises(GatewayError, match="^cannot send 'generate': .*surrogates not allowed"):
+            generate_batch(h, ["A : P : \ud800"])
+        with pytest.raises(GatewayError, match="^cannot send 'train'"):
+            train_batch(h, [("A : P : B", "A p \udfff.")])
+        assert generate_batch(h, ["A : LIKES : B"]) == ["A likes B."]
+    finally:
+        h.close()
+
+
 def test_external_connection_refused():
     h = external_handle(Direction.D2T, "127.0.0.1:9")  # discard port, closed
     with pytest.raises(GatewayError):
@@ -524,6 +536,20 @@ def test_servable_conformance_length_check(d2t_handle_for):
 class _AnswersNone(RuleServable):
     def generate(self, inputs, max_len, min_len):
         return [None] * len(inputs)
+
+
+def test_generate_batch_refuses_an_in_process_answer_holding_a_lone_surrogate():
+    class AppendsSurrogate(RuleServable):
+        def generate(self, inputs, max_len, min_len):
+            return [y + " \udfff" for y in super().generate(inputs, max_len, min_len)]
+
+    h = ModelHandle(Direction.D2T, AppendsSurrogate(RuleBasedD2T()))
+    with pytest.raises(GatewayError, match=r"^generate answer holds a lone surrogate \(d2t at in process\)"):
+        generate_batch(h, ["A : P : B"])
+    # a pair is one character, not two lone surrogates
+    assert generate_batch(ModelHandle(Direction.D2T, RuleServable(RuleBasedD2T())), ["A : P : \U0001f600"]) == [
+        "A p \U0001f600."
+    ]
 
 
 def test_servable_conformance_output_type_check(d2t_handle_for):
@@ -804,7 +830,8 @@ class _ScriptedServer:
     answers under another id, "bool-id" under the id true, "bool-loss"
     answers ok with the loss true, "inf-loss" with the loss 1e999 (which
     JSON parsers read as infinity), "nan-loss" with the loss NaN (which is
-    not JSON), "long" sends one byte more than
+    not JSON), "surrogate" with the outputs ["A \\ud800"] (valid JSON, but
+    a lone surrogate once read), "long" sends one byte more than
     `gateway.MAX_LINE_BYTES` with no newline and stalls, and "half" sends a
     whole reply object without its newline and closes.
     Records (connection, id) per request.
@@ -841,6 +868,8 @@ class _ScriptedServer:
                     reply = {"id": rid, "ok": action != "refuse", "outputs": req.get("inputs")}
                     if action == "bool-loss":
                         reply["loss"] = True
+                    if action == "surrogate":
+                        reply["outputs"] = ["A \ud800"]  # json.dumps writes it as an escape
                     if action == "half":
                         self.wfile.write(json.dumps(reply).encode())
                         return
@@ -927,6 +956,19 @@ def test_remote_servable_refuses_an_infinite_loss():
             with pytest.raises(GatewayError, match="non-finite loss: inf"):
                 train_batch(h, [("a", "b")])
             assert train_batch(h, [("c", "d")]).loss is None
+        finally:
+            h.close()
+    # a contract breach is no transport fault: the connection is kept
+    assert srv.requests == [(0, 1), (0, 2)]
+
+
+def test_remote_servable_refuses_a_lone_surrogate_answer():
+    with _ScriptedServer(["surrogate", "ok"]) as srv:
+        h = external_handle(Direction.D2T, srv.endpoint)
+        try:
+            with pytest.raises(GatewayError, match="generate answer holds a lone surrogate"):
+                generate_batch(h, ["first"])
+            assert generate_batch(h, ["second"]) == ["second"]
         finally:
             h.close()
     # a contract breach is no transport fault: the connection is kept

@@ -39,7 +39,7 @@ from d2t_selftrain import (
     strategy_for,
     synthetic_dataset,
 )
-from d2t_selftrain import pipeline, selection
+from d2t_selftrain import gateway, pipeline, selection
 from d2t_selftrain.datasets import DatasetSplit
 from d2t_selftrain.gateway import CheckpointAction
 
@@ -555,6 +555,43 @@ class TestAborts:
         data = json.loads(snap.read_text(encoding="utf-8"))
         assert data == orch.last_snapshot
 
+    @pytest.mark.parametrize("served", [False, True], ids=["in-process", "served"])
+    def test_lone_surrogate_answer_ends_in_epoch_error_with_snapshot(self, small_splits, tmp_path, monkeypatch, served):
+        class AppendsSurrogate(RuleServable):
+            def generate(self, inputs, max_len, min_len):
+                return [y + " \ud800" for y in super().generate(inputs, max_len, min_len)]
+
+        # a server whose encoder escapes non-ASCII text, as JSON encoders may,
+        # sends the lone surrogate as a "\ud800" escape
+        monkeypatch.setattr(gateway, "_ENCODER", json.JSONEncoder(allow_nan=False))
+        train, val, test = small_splits
+        _, t2d = rule_handles(small_splits)
+        snap = tmp_path / "snapshot.json"
+        servable = AppendsSurrogate(RuleBasedD2T())
+        with ModelServer(servable) as d2t_srv:
+            d2t = external_handle(Direction.D2T, d2t_srv.endpoint) if served else ModelHandle(Direction.D2T, servable)
+            cfg = RunConfig(
+                method=Method.SELF_MEM,
+                d2t=d2t,
+                t2d=t2d,
+                train=train,
+                val=val,
+                test=test,
+                resume_path=snap,
+            )
+            orch = Orchestrator(cfg)
+            try:
+                # bootstrap trains; the first epoch's y' is refused before
+                # it reaches the T2D, a digest or the snapshot
+                want = "^epoch 1 aborted: generate answer holds a lone surrogate"
+                with pytest.raises(EpochError, match=want) as exc_info:
+                    orch.run()
+            finally:
+                d2t.close()
+        assert isinstance(exc_info.value.__cause__, GatewayError)
+        assert exc_info.value.epoch == 0
+        assert json.loads(snap.read_text(encoding="utf-8")) == orch.last_snapshot
+
 
 def _report_digest(report) -> str:
     """sha256 of the compact, key-sorted report without timing, with server
@@ -663,23 +700,72 @@ def test_selection_stats_are_the_sum_of_the_epochs(small_splits, method):
     assert report.selection_stats == expected
 
 
-class _LimitRecorder(RuleServable):
-    """Rule servable that records the decode limits of every generate call."""
+class _GenerateRecorder(RuleServable):
+    """Rule servable that records the inputs and decode limits of every
+    generate call."""
 
     def __init__(self, model):
         super().__init__(model)
+        self.batches = []
         self.limits = []
 
     def generate(self, inputs, max_len, min_len):
+        self.batches.append(list(inputs))
         self.limits.append((max_len, min_len))
         return super().generate(inputs, max_len, min_len)
+
+
+class _FillerD2T(RuleServable):
+    """Rule D2T servable that appends a sentence holding no source value to
+    its output for every other source of a batch: the optimizer strips it,
+    so selection judges those tuples as Case 2."""
+
+    FILLER = "Nothing more is on record."
+
+    def __init__(self):
+        super().__init__(RuleBasedD2T())
+
+    def generate(self, inputs, max_len, min_len):
+        outputs = super().generate(inputs, max_len, min_len)
+        return [f"{y} {self.FILLER}" if i % 2 else y for i, y in enumerate(outputs)]
+
+
+def test_case2_selection_through_a_full_run(small_splits):
+    def one_run():
+        t2d = _GenerateRecorder(rule_handles(small_splits)[1].servable.model)
+        cfg = replace(
+            make_config(small_splits, method=Method.SELF_MEM),
+            d2t=ModelHandle(Direction.D2T, _FillerD2T()),
+            t2d=ModelHandle(Direction.T2D, t2d),
+        )
+        return Orchestrator(cfg).run(), t2d.batches
+
+    report, batches = one_run()
+    assert report.audit["valid"]
+    stats = report.selection_stats
+    assert stats["accepted_case1"] == 18
+    assert stats["accepted_case2"] == 18
+    assert stats["subset_origins"]["self-memory-y-prime"] == 18
+    assert stats["subset_origins"]["self-memory-y-double-prime"] == 18
+    # per epoch the T2D reads x' for every y', x'' for the changed targets
+    # only, then the validation targets; the test split comes last
+    assert len(batches) == 3 * 3 + 1
+    suffix = " " + _FillerD2T.FILLER
+    for e in range(3):
+        y_prime, y_dprime = batches[3 * e], batches[3 * e + 1]
+        assert len(y_prime) == 12
+        assert y_dprime == [y.removesuffix(suffix) for y in y_prime if y.endswith(suffix)]
+        assert len(y_dprime) == 6
+    # pinned, so a change of string hash seed cannot move it either
+    assert _report_digest(report) == "64d9c04bddafd261810da5237675ace46b1003e7e1be423a9351e8452febfdf6"
+    assert _report_digest(one_run()[0]) == _report_digest(report)
 
 
 def test_decode_limits_on_the_wire_match_the_report():
     splits = synthetic_dataset(30, 6, 6)
     train, val, test = splits
     _, t2d = rule_handles(splits)
-    servables = (_LimitRecorder(RuleBasedD2T()), _LimitRecorder(t2d.servable.model))
+    servables = (_GenerateRecorder(RuleBasedD2T()), _GenerateRecorder(t2d.servable.model))
     with ModelServer(servables[0]) as d2t_srv, ModelServer(servables[1]) as t2d_srv:
         d2t = external_handle(Direction.D2T, d2t_srv.endpoint)
         t2d = external_handle(Direction.T2D, t2d_srv.endpoint)

@@ -1,5 +1,7 @@
 """Record types: normalization, reserved separators, equality semantics."""
 
+import json
+
 import pytest
 
 from d2t_selftrain import (
@@ -15,7 +17,7 @@ from d2t_selftrain import (
     VariantMismatchError,
     normalize_text,
 )
-from d2t_selftrain.records import record_key
+from d2t_selftrain.records import json_default, record_key
 
 
 def test_normalize_text_collapses_whitespace():
@@ -84,9 +86,21 @@ def test_pair_key_ignores_origin():
     assert a.key() == b.key() == ("s", "t")
 
 
+def json_form(value):
+    return json.loads(json.dumps(value, default=json_default))
+
+
 def test_self_mem_tuple_serializes_missing_fields_as_null():
     rs = RecordSet((Triple("a", "b", "c"),), RecordKind.TRIPLESET)
-    d = SelfMemTuple(x=rs, y="a b c.").to_dict()
+    d = json_form(SelfMemTuple(x=rs, y="a b c."))
     assert d["y_prime"] is None
     assert d["x_prime"] is None
     assert d["x"] == rs.to_dict()
+
+
+def test_json_form_is_the_compared_fields():
+    # tuple_index takes no part in equality, so none in the JSON form either
+    pair = Pair("s", "t", Origin.SELF_MEMORY_Y_DPRIME, tuple_index=3)
+    assert json_form(pair) == {"source_text": "s", "target_text": "t", "origin": "self-memory-y-double-prime"}
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json.dumps({"s"}, default=json_default)

@@ -1,6 +1,7 @@
 """Elite-pair judging, subset assembly, and epoch allocation."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from d2t_selftrain import (
     judge_pair,
     linearize,
 )
+from d2t_selftrain.records import json_default
 from d2t_selftrain.selection import block_size
 
 X = RecordSet((Triple("A", "P", "B"),), RecordKind.TRIPLESET)
@@ -119,7 +121,7 @@ def test_strict_mode_respects_case():
 
 
 def test_verdict_to_dict():
-    d = judge_pair(tup(None)).to_dict()
+    d = json.loads(json.dumps(judge_pair(tup(None)), default=json_default))
     assert d == {
         "accepted": False,
         "case_id": "none",
