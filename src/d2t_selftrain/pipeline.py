@@ -9,7 +9,10 @@ step-1 size, self-train, and checkpoint on validation METEOR (D2T) or
 validation slot-filling precision (T2D) under a strict-improvement rule.
 Baseline methods without self-memory skip inference and train on the raw
 subset; every method shares the validation and checkpoint path. Each epoch is
-summarised, counted and audited as it ends, and its tuples are then dropped.
+summarised, counted and audited as it ends into the run's `RunState`, and its
+tuples are then dropped. When a model call fails, the run writes a snapshot to
+the config's resume path: the epoch, the reason, the config and the whole
+state, in JSON. Nothing reads a snapshot back yet.
 
 All sampling derives from one master seed through named sub-seeds, so a rerun
 of the same config is byte-identical (timing aside, which is reported under
@@ -21,10 +24,11 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import os
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Optional, Sequence
@@ -109,8 +113,16 @@ def _canonical(obj) -> str:
 
 
 def _write_json(path, obj) -> None:
-    """The one form a run writes a file in: indented, sorted, UTF-8."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
+    """The one form a run writes a file in: indented, sorted, UTF-8. The text
+    goes to a temporary file beside the target, which then replaces it, so a
+    failed write leaves the old file whole."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(json.dumps(obj, default=json_default, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass
@@ -225,6 +237,25 @@ class BestCheckpoints:
     t2d_tag: Optional[str] = None
 
 
+@dataclass
+class RunState:
+    """All that a run's closed epochs leave behind: their summaries, the
+    selection totals, the audit's facts (pairs re-judged, stale notes, the
+    distinct reserve keys in first-draw order), the best checkpoints and the
+    stage timings. Its JSON form is the snapshot's "state". `_reserve_seen`
+    holds the reserve keys again as a set, for the membership check, and
+    takes no part in equality or the JSON form."""
+
+    epochs: list[dict] = field(default_factory=list)
+    selection: dict = field(default_factory=lambda: _selection_stats((), ()))
+    revalidated: int = 0
+    stale: list[str] = field(default_factory=list)
+    reserve_keys: list[tuple[str, str]] = field(default_factory=list)
+    best: BestCheckpoints = BestCheckpoints()
+    timing: dict[str, float] = field(default_factory=dict)
+    _reserve_seen: set[tuple[str, str]] = field(default_factory=set, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class RunReport:
     config: dict
@@ -277,9 +308,7 @@ class Orchestrator:
         self.plan = allocate(
             len(cfg.train), self.strategy, cfg.ratio, cfg.epochs, cfg.seed
         )
-        self.best = BestCheckpoints()
-        self.timing: dict[str, float] = {}
-        self.last_snapshot: Optional[dict] = None
+        self.state = RunState()  # the last run's; run() starts a fresh one
         self._reserve = tuple(
             cfg.train.examples[i] for i in self.plan.unused_indices()
         )
@@ -288,12 +317,6 @@ class Orchestrator:
             self._allowed |= {Origin.SELF_MEMORY_Y_PRIME, Origin.SELF_MEMORY_Y_DPRIME}
             if cfg.method.includes_new_data:
                 self._allowed.add(Origin.REMAINING)
-        # all that a closed epoch leaves behind: its summary and audit facts
-        self._summaries: list[dict] = []
-        self._selection = _selection_stats((), ())
-        self._revalidated = 0
-        self._stale: list[str] = []
-        self._drawn_from_reserve: set[tuple[str, str]] = set()
 
     @contextmanager
     def _timed(self, key: str):
@@ -301,7 +324,7 @@ class Orchestrator:
         try:
             yield
         finally:
-            self.timing[key] = self.timing.get(key, 0.0) + time.perf_counter() - t0
+            self.state.timing[key] = self.state.timing.get(key, 0.0) + time.perf_counter() - t0
 
     def _parse_records(self, text: str) -> RecordSet:
         """Interpret T2D output; anything unparseable, a blank text too, is an
@@ -428,7 +451,7 @@ class Orchestrator:
 
     def select_checkpoint(self, trace: EpochTrace) -> EpochTrace:
         """Strict-improvement checkpointing; ties keep the earlier model."""
-        best = self.best
+        best = self.state.best
         saved_d2t = saved_t2d = False
         if best.meteor is None or trace.val_meteor_d2t > best.meteor:
             tag = f"d2t-epoch{trace.epoch + 1}"
@@ -440,7 +463,7 @@ class Orchestrator:
             checkpoint(self.cfg.t2d, CheckpointAction.SAVE, tag)
             best = replace(best, osf_precision=trace.val_osf_precision_t2d, t2d_tag=tag)
             saved_t2d = True
-        self.best = best
+        self.state.best = best
         return replace(
             trace, checkpoint_saved_d2t=saved_d2t, checkpoint_saved_t2d=saved_t2d
         )
@@ -448,10 +471,10 @@ class Orchestrator:
     def evaluate_test(self) -> MetricReport:
         """Load the best checkpoints and report the full metric set on the
         test split, with T2D reconstructions for the slot-filling scores."""
-        if self.best.d2t_tag:
-            checkpoint(self.cfg.d2t, CheckpointAction.LOAD, self.best.d2t_tag)
-        if self.best.t2d_tag:
-            checkpoint(self.cfg.t2d, CheckpointAction.LOAD, self.best.t2d_tag)
+        if self.state.best.d2t_tag:
+            checkpoint(self.cfg.d2t, CheckpointAction.LOAD, self.state.best.d2t_tag)
+        if self.state.best.t2d_tag:
+            checkpoint(self.cfg.t2d, CheckpointAction.LOAD, self.state.best.t2d_tag)
         test = self.cfg.test.examples
         outputs = generate_batch(self.cfg.d2t, [ex.source_text for ex in test])
         recon_raw = generate_batch(self.cfg.t2d, outputs)
@@ -464,36 +487,40 @@ class Orchestrator:
 
     def _close_epoch(self, trace: EpochTrace) -> None:
         """Summarise, count and audit a checkpointed epoch, then drop it."""
-        self._summaries.append(trace.summary())
-        _add_counts(self._selection, self._summaries[-1]["selection"])
+        state = self.state
+        state.epochs.append(trace.summary())
+        _add_counts(state.selection, state.epochs[-1]["selection"])
         # timed apart from the summary, whose digest hashes the whole trace
         with self._timed("audit"):
             for pair in trace.subset:
                 if pair.origin is Origin.GOLD and self.cfg.method.uses_self_memory:
                     # a self-memory subset's gold pairs are reserve top-ups
-                    self._drawn_from_reserve.add(pair.key())
+                    if pair.key() not in state._reserve_seen:
+                        state._reserve_seen.add(pair.key())
+                        state.reserve_keys.append(pair.key())
                 if pair.origin not in (Origin.SELF_MEMORY_Y_PRIME, Origin.SELF_MEMORY_Y_DPRIME):
                     continue
                 i = pair.tuple_index
                 if i is None or not 0 <= i < len(trace.tuples):
-                    self._stale.append(f"epoch {trace.epoch}: unmatched pair {pair.key()!r}")
+                    state.stale.append(f"epoch {trace.epoch}: unmatched pair {pair.key()!r}")
                     continue
                 tup = trace.tuples[i]
                 verdict = judge_pair(tup)
                 if verdict.accepted and elite_pair(tup, verdict, pair.source_text) == pair:
-                    self._revalidated += 1
+                    state.revalidated += 1
                 else:
-                    self._stale.append(f"epoch {trace.epoch}: re-judge rejects {pair.key()!r}")
+                    state.stale.append(f"epoch {trace.epoch}: re-judge rejects {pair.key()!r}")
 
     def audit(self) -> dict:
         """Consistency checks over the facts each epoch left as it ended."""
-        stale = self._stale
-        subset_sizes = [s["subset_size"] for s in self._summaries]
+        state = self.state
+        stale = state.stale
+        subset_sizes = [s["subset_size"] for s in state.epochs]
         checks = [
             {
                 "name": "self-memory-pairs-revalidate",
                 "passed": not stale,
-                "detail": f"{self._revalidated} pairs re-judged" + ("" if not stale else f"; {stale[:3]}"),
+                "detail": f"{state.revalidated} pairs re-judged" + ("" if not stale else f"; {stale[:3]}"),
             },
             {
                 "name": "subset-size-equals-step1-size",
@@ -506,9 +533,9 @@ class Orchestrator:
             used = self.plan.used_indices()
             expected = self.plan.block_size * self.cfg.epochs
             detail = f"{len(used)} distinct indices used, expected {expected}, {len(self.plan.unused_indices())} unused"
-            if self._drawn_from_reserve:
-                top_ups = self._selection["subset_origins"][Origin.GOLD.value]
-                detail += f"; {top_ups} reserve top-ups from {len(self._drawn_from_reserve)} distinct examples"
+            if state.reserve_keys:
+                top_ups = state.selection["subset_origins"][Origin.GOLD.value]
+                detail += f"; {top_ups} reserve top-ups from {len(state.reserve_keys)} distinct examples"
             checks.append(
                 {
                     "name": "data-budget-disjoint-blocks",
@@ -520,29 +547,15 @@ class Orchestrator:
         checks.append(
             {
                 "name": "subset-origins-allowed",
-                "passed": not any(self._selection["subset_origins"][o.value] for o in Origin if o not in self._allowed),
+                "passed": not any(state.selection["subset_origins"][o.value] for o in Origin if o not in self._allowed),
                 "detail": f"allowed: {sorted(o.value for o in self._allowed)}",
             }
         )
 
         return {"valid": all(c["passed"] for c in checks), "checks": checks}
 
-    def _snapshot(self, epoch: int, reason: str) -> dict:
-        snapshot = {
-            "epoch": epoch,
-            "reason": reason,
-            "seed": self.cfg.seed,
-            "method": self.cfg.method.value,
-            "data_mode": self.cfg.data_mode.value,
-            "completed_epochs": len(self._summaries),
-            "best": asdict(self.best),
-        }
-        self.last_snapshot = snapshot
-        if self.cfg.resume_path is not None:
-            _write_json(self.cfg.resume_path, snapshot)
-        return snapshot
-
     def run(self) -> RunReport:
+        self.state = state = RunState()
         epoch = -1
         try:
             if self.cfg.method.uses_self_memory:
@@ -554,16 +567,17 @@ class Orchestrator:
             with self._timed("evaluate-test"):
                 final = self.evaluate_test()
         except GatewayError as exc:
-            self._snapshot(epoch, str(exc))
+            if self.cfg.resume_path is not None:
+                _write_json(self.cfg.resume_path, {"epoch": epoch, "reason": str(exc), "config": self.cfg.to_dict(), "state": state})
             label = {-1: "bootstrap", self.cfg.epochs: "test evaluation"}.get(epoch, f"epoch {epoch + 1}")
             raise EpochError(f"{label} aborted: {exc}", epoch=epoch) from exc
 
         return RunReport(
             config=self.cfg.to_dict(),
-            epoch_summaries=tuple(self._summaries),
-            selection_stats=self._selection,
+            epoch_summaries=tuple(state.epochs),
+            selection_stats=state.selection,
             final_metrics=final,
             audit=self.audit(),
-            best=asdict(self.best),
-            timing=dict(self.timing),
+            best=asdict(state.best),
+            timing=dict(state.timing),
         )

@@ -391,6 +391,31 @@ class TestRunCommand:
         leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert not leaks, [str(w.message) for w in leaks]
 
+    def test_resume_writes_the_snapshot_of_an_aborted_run(self, tmp_path, capsys):
+        snap = tmp_path / "snap.json"
+        report_path = tmp_path / "report.json"
+        rc = main(
+            [
+                "run",
+                "--dataset",
+                "synthetic",
+                "--method",
+                "self-mem",
+                "--d2t-endpoint",
+                "127.0.0.1:9",
+                "--resume",
+                str(snap),
+                "--report",
+                str(report_path),
+            ]
+        )
+        assert rc == 1
+        assert "bootstrap aborted" in capsys.readouterr().err
+        assert not report_path.exists()
+        data = json.loads(snap.read_text(encoding="utf-8"))
+        assert data["epoch"] == -1
+        assert data["config"]["method"] == "self-mem"
+
     def test_bad_endpoint_flag(self, capsys):
         rc = main(
             [

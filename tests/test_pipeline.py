@@ -7,6 +7,7 @@ import json
 import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,13 @@ from d2t_selftrain.datasets import DatasetSplit
 from d2t_selftrain.gateway import CheckpointAction
 
 BASELINES = (Method.NO_SELF_MEM_1, Method.NO_SELF_MEM_2, Method.NO_SELF_MEM_3)
+
+
+class _LoadFails(RuleServable):
+    """Rule servable whose checkpoints cannot be loaded back."""
+
+    def load(self, tag):
+        raise GatewayError(f"cannot load {tag!r}")
 
 
 def make_config(splits, method=Method.SELF_MEM, **kwargs):
@@ -255,19 +263,19 @@ class TestCheckpointSelection:
 
         first = orch.select_checkpoint(self._trace(0, 0.30, 0.40))
         assert first.checkpoint_saved_d2t and first.checkpoint_saved_t2d
-        assert orch.best.d2t_tag == "d2t-epoch1"
-        assert orch.best.t2d_tag == "t2d-epoch1"
+        assert orch.state.best.d2t_tag == "d2t-epoch1"
+        assert orch.state.best.t2d_tag == "t2d-epoch1"
 
         second = orch.select_checkpoint(self._trace(1, 0.35, 0.40))
         # METEOR improved, slot precision tied: only the D2T model rolls
         assert second.checkpoint_saved_d2t and not second.checkpoint_saved_t2d
-        assert orch.best.d2t_tag == "d2t-epoch2"
-        assert orch.best.t2d_tag == "t2d-epoch1"
+        assert orch.state.best.d2t_tag == "d2t-epoch2"
+        assert orch.state.best.t2d_tag == "t2d-epoch1"
 
         third = orch.select_checkpoint(self._trace(2, 0.33, 0.39))
         assert not third.checkpoint_saved_d2t and not third.checkpoint_saved_t2d
-        assert orch.best.meteor == 0.35
-        assert orch.best.osf_precision == 0.40
+        assert orch.state.best.meteor == 0.35
+        assert orch.state.best.osf_precision == 0.40
 
         assert saved == [
             (CheckpointAction.SAVE, "d2t-epoch1"),
@@ -468,21 +476,22 @@ class TestAborts:
         with pytest.raises(EpochError, match="bootstrap aborted") as exc_info:
             orch.run()
         assert exc_info.value.epoch == -1
-        assert orch.last_snapshot is not None
-        assert orch.last_snapshot["completed_epochs"] == 0
         data = json.loads(snap.read_text(encoding="utf-8"))
         assert data["epoch"] == -1
-        assert data["method"] == "self-mem"
-        assert data["best"] == {
+        assert data["config"] == cfg.to_dict()
+        assert data["config"]["method"] == "self-mem"
+        assert data["state"]["epochs"] == []
+        assert data["state"]["best"] == {
             "meteor": None,
             "osf_precision": None,
             "d2t_tag": None,
             "t2d_tag": None,
         }
 
-    def test_epoch_abort_labels_one_based_epoch(self, small_splits):
+    def test_epoch_abort_labels_one_based_epoch(self, small_splits, tmp_path):
         train, val, test = small_splits
         _, t2d = rule_handles(small_splits)
+        snap = tmp_path / "snapshot.json"
         cfg = RunConfig(
             method=Method.NO_SELF_MEM_1,
             d2t=external_handle(Direction.D2T, "127.0.0.1:9"),
@@ -490,25 +499,25 @@ class TestAborts:
             train=train,
             val=val,
             test=test,
+            resume_path=snap,
         )
         orch = Orchestrator(cfg)
         # baselines skip bootstrap, so the first failure is inside epoch 1
         with pytest.raises(EpochError, match="epoch 1 aborted") as exc_info:
             orch.run()
         assert exc_info.value.epoch == 0
-        assert orch.last_snapshot["completed_epochs"] == 0
+        assert orch.state.epochs == []
+        data = json.loads(snap.read_text(encoding="utf-8"))
+        assert data["epoch"] == 0
+        assert data["state"]["epochs"] == []
 
     def test_test_evaluation_abort_is_not_labelled_as_an_epoch(self, small_splits, tmp_path):
-        class LoadFails(RuleServable):
-            def load(self, tag):
-                raise GatewayError(f"cannot load {tag!r}")
-
         train, val, test = small_splits
         _, t2d = rule_handles(small_splits)
         snap = tmp_path / "snapshot.json"
         cfg = RunConfig(
             method=Method.SELF_MEM,
-            d2t=ModelHandle(Direction.D2T, LoadFails(RuleBasedD2T())),
+            d2t=ModelHandle(Direction.D2T, _LoadFails(RuleBasedD2T())),
             t2d=t2d,
             train=train,
             val=val,
@@ -521,10 +530,12 @@ class TestAborts:
         with pytest.raises(EpochError, match="^test evaluation aborted: cannot load 'd2t-epoch1'") as exc_info:
             orch.run()
         assert exc_info.value.epoch == 2
-        assert orch.last_snapshot["completed_epochs"] == 2
+        assert len(orch.state.epochs) == 2
         data = json.loads(snap.read_text(encoding="utf-8"))
         assert data["epoch"] == 2
-        assert data["completed_epochs"] == 2
+        assert data["reason"] == "cannot load 'd2t-epoch1'"
+        assert data["state"]["epochs"] == orch.state.epochs
+        assert data["state"]["best"]["d2t_tag"] == "d2t-epoch1"
 
 
     def test_in_process_contract_breach_ends_in_epoch_error_with_snapshot(self, small_splits, tmp_path):
@@ -550,10 +561,10 @@ class TestAborts:
             orch.run()
         assert isinstance(exc_info.value.__cause__, GatewayError)
         assert exc_info.value.epoch == 0
-        assert orch.last_snapshot["epoch"] == 0
-        assert orch.last_snapshot["completed_epochs"] == 0
         data = json.loads(snap.read_text(encoding="utf-8"))
-        assert data == orch.last_snapshot
+        assert data["epoch"] == 0
+        assert data["state"]["epochs"] == []
+        assert data["reason"] == str(exc_info.value.__cause__)
 
     @pytest.mark.parametrize("served", [False, True], ids=["in-process", "served"])
     def test_lone_surrogate_answer_ends_in_epoch_error_with_snapshot(self, small_splits, tmp_path, monkeypatch, served):
@@ -590,7 +601,10 @@ class TestAborts:
                 d2t.close()
         assert isinstance(exc_info.value.__cause__, GatewayError)
         assert exc_info.value.epoch == 0
-        assert json.loads(snap.read_text(encoding="utf-8")) == orch.last_snapshot
+        data = json.loads(snap.read_text(encoding="utf-8"))
+        assert data["epoch"] == 0
+        assert data["reason"] == str(exc_info.value.__cause__)
+        assert data["state"]["epochs"] == []
 
 
 def _report_digest(report) -> str:
@@ -654,13 +668,18 @@ def test_audit_reports_pair_without_tuple_index_as_unmatched(small_splits, monke
         assert "unmatched pair" in check["detail"]
 
 
-def test_budget_detail_counts_reserve_top_ups():
-    # gold targets of "x." are shorter than any generation, so most tuples
-    # are rejected and self-mem tops its subsets up from the 10 unused examples
+def _top_up_config(**kwargs):
+    """self-mem on a corpus whose gold targets are mostly "x.": shorter than
+    any generation, so most tuples are rejected and each subset is topped up
+    from the 10 unused examples."""
     train, val, test = synthetic_dataset(100, 20, 20, seed=3)
     examples = tuple(ex if k % 5 == 0 else replace(ex, target="x.") for k, ex in enumerate(train.examples))
     splits = (DatasetSplit(train.name, examples), val, test)
-    report = Orchestrator(make_config(splits, method=Method.SELF_MEM, seed=3)).run()
+    return make_config(splits, method=Method.SELF_MEM, seed=3, **kwargs)
+
+
+def test_budget_detail_counts_reserve_top_ups():
+    report = Orchestrator(_top_up_config()).run()
     top_ups = report.selection_stats["subset_origins"]["gold"]
     assert top_ups == 30
     budget = next(c for c in report.audit["checks"] if c["name"] == "data-budget-disjoint-blocks")
@@ -668,6 +687,54 @@ def test_budget_detail_counts_reserve_top_ups():
     assert budget["detail"] == (
         "90 distinct indices used, expected 90, 10 unused; 30 reserve top-ups from 10 distinct examples"
     )
+
+
+def test_snapshot_golden_digest(tmp_path):
+    # all three epochs close; loading the best D2T for the test split fails
+    snap = tmp_path / "snapshot.json"
+    cfg = _top_up_config(resume_path=snap)
+    uninterrupted = Orchestrator(cfg).run()
+    cfg.d2t = ModelHandle(Direction.D2T, _LoadFails(RuleBasedD2T()))
+    with pytest.raises(EpochError, match="^test evaluation aborted"):
+        Orchestrator(cfg).run()
+    data = json.loads(snap.read_text(encoding="utf-8"))
+    assert data["state"]["epochs"] == list(uninterrupted.epoch_summaries)
+    assert len(data["state"]["reserve_keys"]) == 10
+    del data["state"]["timing"]
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == "f04de83b4a3db4244da23bd1f47a13212b7c613017b613c3bd3b5d4f76046b2b"
+
+
+def test_a_second_run_starts_from_a_fresh_state(small_splits):
+    orch = Orchestrator(make_config(small_splits, method=Method.SELF_MEM))
+    first = orch.run().to_dict(include_timing=False)
+    assert orch.run().to_dict(include_timing=False) == first
+    assert len(orch.state.epochs) == 3
+
+
+def test_a_failed_write_leaves_the_old_report_and_snapshot(small_splits, tmp_path, monkeypatch):
+    report_path, snap = tmp_path / "report.json", tmp_path / "snapshot.json"
+    report = Orchestrator(make_config(small_splits)).run()
+    report.write(report_path)
+    aborting = make_config(small_splits, resume_path=snap)
+    aborting.d2t = external_handle(Direction.D2T, "127.0.0.1:9")
+    with pytest.raises(EpochError):
+        Orchestrator(aborting).run()
+    before = {path: path.read_bytes() for path in (report_path, snap)}
+
+    def half_then_fail(path, text, *args, **kwargs):
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        report.write(report_path)
+    with pytest.raises(OSError, match="disk full"):
+        Orchestrator(aborting).run()
+    monkeypatch.undo()
+    assert {path: path.read_bytes() for path in (report_path, snap)} == before
+    assert sorted(tmp_path.iterdir()) == sorted(before)
 
 
 def test_no_epoch_tuples_outlive_the_epoch(small_splits, monkeypatch):
