@@ -262,7 +262,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "linearize":
             return _cmd_linearize()
         return _cmd_delinearize(args)
-    except (PipelineError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

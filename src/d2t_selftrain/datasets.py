@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .errors import DatasetError, LinearizationError, RecordFieldError
 from .linearize import linearize

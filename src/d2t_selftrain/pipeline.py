@@ -10,9 +10,11 @@ validation slot-filling precision (T2D) under a strict-improvement rule.
 Baseline methods without self-memory skip inference and train on the raw
 subset; every method shares the validation and checkpoint path. Each epoch is
 summarised, counted and audited as it ends into the run's `RunState`, and its
-tuples are then dropped. When a model call fails, the run writes a snapshot to
-the config's resume path: the epoch, the reason, the config and the whole
-state, in JSON. Nothing reads a snapshot back yet.
+tuples are then dropped. When a model call fails or an epoch's subset comes
+out empty, the run ends in `EpochError` and writes a snapshot to the config's
+resume path: the epoch, the reason, the config and the whole state, in JSON.
+A snapshot that cannot be written is named in the error's message. Nothing
+reads a snapshot back yet.
 
 All sampling derives from one master seed through named sub-seeds, so a rerun
 of the same config is byte-identical (timing aside, which is reported under
@@ -34,7 +36,7 @@ from statistics import fmean
 from typing import Iterable, Optional, Sequence
 
 from .datasets import DatasetSplit
-from .errors import DatasetError, DelinearizeError, EpochError, GatewayError
+from .errors import DatasetError, DelinearizeError, EmptySubsetError, EpochError, GatewayError
 from .gateway import (
     MAX_LEN,
     MIN_LEN,
@@ -488,9 +490,10 @@ class Orchestrator:
     def _close_epoch(self, trace: EpochTrace) -> None:
         """Summarise, count and audit a checkpointed epoch, then drop it."""
         state = self.state
-        state.epochs.append(trace.summary())
-        _add_counts(state.selection, state.epochs[-1]["selection"])
-        # timed apart from the summary, whose digest hashes the whole trace
+        # the funnel count and the digest, which hashes the whole trace
+        with self._timed("digest"):
+            state.epochs.append(trace.summary())
+            _add_counts(state.selection, state.epochs[-1]["selection"])
         with self._timed("audit"):
             for pair in trace.subset:
                 if pair.origin is Origin.GOLD and self.cfg.method.uses_self_memory:
@@ -566,11 +569,16 @@ class Orchestrator:
             epoch = self.cfg.epochs
             with self._timed("evaluate-test"):
                 final = self.evaluate_test()
-        except GatewayError as exc:
-            if self.cfg.resume_path is not None:
-                _write_json(self.cfg.resume_path, {"epoch": epoch, "reason": str(exc), "config": self.cfg.to_dict(), "state": state})
+        except (GatewayError, EmptySubsetError) as exc:
             label = {-1: "bootstrap", self.cfg.epochs: "test evaluation"}.get(epoch, f"epoch {epoch + 1}")
-            raise EpochError(f"{label} aborted: {exc}", epoch=epoch) from exc
+            message = f"{label} aborted: {exc}"
+            if self.cfg.resume_path is not None:
+                try:
+                    _write_json(self.cfg.resume_path, {"epoch": epoch, "reason": str(exc), "config": self.cfg.to_dict(), "state": state})
+                except OSError as write_error:
+                    # the abort, not the failed write, is what the caller must see
+                    message += f"; snapshot not written: {write_error}"
+            raise EpochError(message, epoch=epoch) from exc
 
         return RunReport(
             config=self.cfg.to_dict(),

@@ -1,13 +1,22 @@
 """Classic suffix-stripping stemmer (Porter, 1980).
 
 Implements the original published algorithm: five rule steps applied in
-sequence, each firing at most the single rule whose suffix is the longest
-match. Used by the METEOR stem-matching stage; no external lexical data.
+sequence. Each step is a table of `(suffix, replacement, condition)` rows,
+Porter's `(condition) S1 -> S2`: the condition is a test of the stem that the
+suffix leaves, such as its measure m being above k. `_apply` reads every
+table the same way: only the row with the longest matching suffix is
+considered, and if its condition fails, no other row in the step fires. Two
+pieces stay code: step 1b's clean-up, whose tests are ordered and run only
+after `ed` or `ing` fired, and step 5b, one test of the whole word. Used by
+the METEOR stem-matching stage; no external lexical data.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Callable, Optional
+
+_Rule = tuple[str, str, Callable[[str], bool]]
 
 
 def _is_consonant(word: str, i: int) -> bool:
@@ -58,109 +67,64 @@ def _ends_cvc(word: str) -> bool:
     )
 
 
-def _replace(word: str, suffix: str, repl: str) -> str:
-    return word[: len(word) - len(suffix)] + repl
+def _apply(word: str, rules: list[_Rule]) -> tuple[str, Optional[str]]:
+    """Fire the longest-suffix row if its condition holds on the stem left.
 
-
-def _rule_table(word: str, rules: list[tuple]) -> str:
-    """Apply the longest-suffix rule whose conditions hold.
-
-    A rule is (suffix, replacement, m) or (suffix, replacement, m, ends): the
-    stem left by the suffix must have a measure above m and, if `ends` is
-    given, end with one of its strings. Per the algorithm, only the longest
-    matching suffix is considered; if its conditions fail, no other rule in
-    the step fires.
+    Returns the new word and the suffix that fired, or the word unchanged and
+    None.
     """
-    best = None
-    for rule in rules:
-        if word.endswith(rule[0]) and (best is None or len(rule[0]) > len(best[0])):
-            best = rule
-    if best is None:
-        return word
-    suffix, repl, min_m, *ends = best
+    matches = [rule for rule in rules if word.endswith(rule[0])]
+    if not matches:
+        return word, None
+    suffix, repl, condition = max(matches, key=lambda rule: len(rule[0]))
     stem = word[: len(word) - len(suffix)]
-    if _measure(stem) > min_m and all(stem.endswith(e) for e in ends):
-        return stem + repl
-    return word
+    return (stem + repl, suffix) if condition(stem) else (word, None)
 
 
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return _replace(word, "sses", "ss")
-    if word.endswith("ies"):
-        return _replace(word, "ies", "i")
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
+def _any(stem: str) -> bool:
+    return True
 
 
-def _step1b(word: str) -> str:
-    if word.endswith("eed"):
-        stem = word[:-3]
-        return stem + "ee" if _measure(stem) > 0 else word
-    fired = None
-    if word.endswith("ed") and _has_vowel(word[:-2]):
-        fired = word[:-2]
-    elif word.endswith("ing") and _has_vowel(word[:-3]):
-        fired = word[:-3]
-    if fired is None:
-        return word
-    word = fired
-    if word.endswith(("at", "bl", "iz")):
-        return word + "e"
-    if _ends_double_consonant(word) and word[-1] not in "lsz":
-        return word[:-1]
-    if _measure(word) == 1 and _ends_cvc(word):
-        return word + "e"
-    return word
+def _m0(stem: str) -> bool:
+    return _measure(stem) > 0
 
 
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
+def _m1(stem: str) -> bool:
+    return _measure(stem) > 1
 
+
+_STEP1A = [("sses", "ss", _any), ("ies", "i", _any), ("ss", "ss", _any), ("s", "", _any)]
+
+_STEP1B = [("eed", "ee", _m0), ("ed", "", _has_vowel), ("ing", "", _has_vowel)]
+
+_STEP1C = [("y", "i", _has_vowel)]
 
 _STEP2 = [
-    ("ational", "ate", 0), ("tional", "tion", 0), ("enci", "ence", 0),
-    ("anci", "ance", 0), ("izer", "ize", 0), ("abli", "able", 0),
-    ("alli", "al", 0), ("entli", "ent", 0), ("eli", "e", 0),
-    ("ousli", "ous", 0), ("ization", "ize", 0), ("ation", "ate", 0),
-    ("ator", "ate", 0), ("alism", "al", 0), ("iveness", "ive", 0),
-    ("fulness", "ful", 0), ("ousness", "ous", 0), ("aliti", "al", 0),
-    ("iviti", "ive", 0), ("biliti", "ble", 0),
+    ("ational", "ate", _m0), ("tional", "tion", _m0), ("enci", "ence", _m0),
+    ("anci", "ance", _m0), ("izer", "ize", _m0), ("abli", "able", _m0),
+    ("alli", "al", _m0), ("entli", "ent", _m0), ("eli", "e", _m0),
+    ("ousli", "ous", _m0), ("ization", "ize", _m0), ("ation", "ate", _m0),
+    ("ator", "ate", _m0), ("alism", "al", _m0), ("iveness", "ive", _m0),
+    ("fulness", "ful", _m0), ("ousness", "ous", _m0), ("aliti", "al", _m0),
+    ("iviti", "ive", _m0), ("biliti", "ble", _m0),
 ]
 
 _STEP3 = [
-    ("icate", "ic", 0), ("ative", "", 0), ("alize", "al", 0),
-    ("iciti", "ic", 0), ("ical", "ic", 0), ("ful", "", 0), ("ness", "", 0),
+    ("icate", "ic", _m0), ("ative", "", _m0), ("alize", "al", _m0),
+    ("iciti", "ic", _m0), ("ical", "ic", _m0), ("ful", "", _m0), ("ness", "", _m0),
 ]
 
 _STEP4 = [
-    ("al", "", 1), ("ance", "", 1), ("ence", "", 1), ("er", "", 1),
-    ("ic", "", 1), ("able", "", 1), ("ible", "", 1), ("ant", "", 1),
-    ("ement", "", 1), ("ment", "", 1), ("ent", "", 1), ("ou", "", 1),
-    ("ism", "", 1), ("ate", "", 1), ("iti", "", 1), ("ous", "", 1),
-    ("ive", "", 1), ("ize", "", 1),
-    ("ion", "", 1, ("s", "t")),  # only after s or t
+    ("al", "", _m1), ("ance", "", _m1), ("ence", "", _m1), ("er", "", _m1),
+    ("ic", "", _m1), ("able", "", _m1), ("ible", "", _m1), ("ant", "", _m1),
+    ("ement", "", _m1), ("ment", "", _m1), ("ent", "", _m1), ("ou", "", _m1),
+    ("ism", "", _m1), ("ate", "", _m1), ("iti", "", _m1), ("ous", "", _m1),
+    ("ive", "", _m1), ("ize", "", _m1),
+    ("ion", "", lambda stem: _m1(stem) and stem.endswith(("s", "t"))),
 ]
 
-
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
-        stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
-    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
-        return word[:-1]
-    return word
+# (m > 1) or (m = 1 and not *o)
+_STEP5A = [("e", "", lambda stem: _m1(stem) or (_m0(stem) and not _ends_cvc(stem)))]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -172,12 +136,18 @@ def stem(word: str) -> str:
     word = word.lower()
     if len(word) <= 2:
         return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _rule_table(word, _STEP2)
-    word = _rule_table(word, _STEP3)
-    word = _rule_table(word, _STEP4)
-    word = _step5a(word)
-    word = _step5b(word)
+    word, _ = _apply(word, _STEP1A)
+    word, fired = _apply(word, _STEP1B)
+    if fired in ("ed", "ing"):
+        if word.endswith(("at", "bl", "iz")):
+            word += "e"
+        elif _ends_double_consonant(word) and word[-1] not in "lsz":
+            word = word[:-1]
+        elif _measure(word) == 1 and _ends_cvc(word):
+            word += "e"
+    for rules in (_STEP1C, _STEP2, _STEP3, _STEP4, _STEP5A):
+        word, _ = _apply(word, rules)
+    # step 5b: (m > 1 and *d and *L) -> single letter
+    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
+        word = word[:-1]
     return word

@@ -16,6 +16,7 @@ from d2t_selftrain import (
     DataMode,
     DatasetError,
     Direction,
+    EmptySubsetError,
     EpochError,
     EpochTrace,
     Example,
@@ -353,6 +354,19 @@ class TestFullRuns:
         assert report.timing["audit"] >= 36 * 0.001
         assert "audit" in Orchestrator(make_config(small_splits, method=Method.NO_SELF_MEM_1)).run().timing
 
+    def test_timing_covers_the_run(self):
+        # every stage of run(), the epoch summaries and digests too, is under
+        # a timing key; the best of three runs damps a busy host
+        splits = synthetic_dataset(300, 30, 30, seed=1)
+        shares = []
+        for _ in range(3):
+            orch = Orchestrator(make_config(splits, method=Method.SELF_MEM))
+            t0 = time.perf_counter()
+            report = orch.run()
+            shares.append(sum(report.timing.values()) / (time.perf_counter() - t0))
+        assert "digest" in report.timing
+        assert max(shares) >= 0.93
+
     def test_self_t2d_method_trains_t2d(self, small_splits):
         report = Orchestrator(
             make_config(small_splits, method=Method.SELF_MEM_SELF_T2D)
@@ -606,6 +620,35 @@ class TestAborts:
         assert data["reason"] == str(exc_info.value.__cause__)
         assert data["state"]["epochs"] == []
 
+    def test_empty_subset_ends_in_epoch_error_with_snapshot(self, tmp_path):
+        class AnswersX(RuleServable):
+            def generate(self, inputs, max_len, min_len):
+                return ["x."] * len(inputs)
+
+        # no tuple is accepted, and a 0.34 ratio leaves no reserve to top up from
+        splits = synthetic_dataset(30, 6, 6, seed=1)
+        train, val, test = splits
+        _, t2d = rule_handles(splits)
+        snap = tmp_path / "snapshot.json"
+        cfg = RunConfig(
+            method=Method.SELF_MEM,
+            d2t=ModelHandle(Direction.D2T, AnswersX(RuleBasedD2T())),
+            t2d=t2d,
+            train=train,
+            val=val,
+            test=test,
+            ratio=0.34,
+            resume_path=snap,
+        )
+        with pytest.raises(EpochError, match="^epoch 1 aborted: no accepted pairs") as exc_info:
+            Orchestrator(cfg).run()
+        assert isinstance(exc_info.value.__cause__, EmptySubsetError)
+        assert exc_info.value.epoch == 0
+        data = json.loads(snap.read_text(encoding="utf-8"))
+        assert data["epoch"] == 0
+        assert data["reason"] == str(exc_info.value.__cause__)
+        assert data["state"]["epochs"] == []
+
 
 def _report_digest(report) -> str:
     """sha256 of the compact, key-sorted report without timing, with server
@@ -730,8 +773,10 @@ def test_a_failed_write_leaves_the_old_report_and_snapshot(small_splits, tmp_pat
     monkeypatch.setattr(Path, "write_text", half_then_fail)
     with pytest.raises(OSError, match="disk full"):
         report.write(report_path)
-    with pytest.raises(OSError, match="disk full"):
+    # the abort still ends in EpochError, which names the failed write
+    with pytest.raises(EpochError, match="^bootstrap aborted: .*; snapshot not written: disk full$") as exc_info:
         Orchestrator(aborting).run()
+    assert isinstance(exc_info.value.__cause__, GatewayError)
     monkeypatch.undo()
     assert {path: path.read_bytes() for path in (report_path, snap)} == before
     assert sorted(tmp_path.iterdir()) == sorted(before)
