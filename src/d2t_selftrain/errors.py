@@ -21,10 +21,6 @@ class LinearizationError(PipelineError):
 class DelinearizeError(PipelineError):
     """No record could be parsed out of a linearized string."""
 
-    def __init__(self, message: str, dropped: int = 0):
-        super().__init__(message)
-        self.dropped = dropped
-
 
 class AllocationError(PipelineError):
     """An epoch subset plan is infeasible for the requested parameters."""

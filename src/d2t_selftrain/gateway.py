@@ -9,10 +9,11 @@ on as they came. The batch calls own the servable contract, whatever the
 servable: generate_batch refuses an answer that is not a list of one string
 per input, and train_batch a loss that is neither None nor a finite int or
 float. A servable that breaks it raises GatewayError, as a transport fault
-does.
+does, and so does any other exception an in-process servable raises, so a
+run ends the same way whether its model is served or not.
 
 Wire protocol, one JSON object per line, UTF-8:
-  request  {"id": n, "cmd": "generate"|"train"|"save"|"load"|"shutdown", ...}
+  request  {"id": n, "cmd": "generate"|"train"|"save"|"load", ...}
   response {"id": n, "ok": true|false, ...}
 ids are strictly increasing per connection with one request in flight at a
 time. Both ends write a message with write_message, one line of JSON with no
@@ -92,8 +93,8 @@ class RuleBasedD2T:
 
     Each record becomes one sentence: "<subject> <predicate phrase> <object>."
     for triples, "<name value> <key phrase> <value>." for MR pairs (the
-    subject pair, keyed `records.SUBJECT_KEY`, supplies the subject and is not
-    rendered on its own).
+    subject pair, keyed `records.SUBJECT_KEY`, supplies the subject, if any,
+    and is rendered on its own, "<name value>.", only when no other pair is).
     """
 
     def generate(self, source_text: str) -> str:
@@ -106,13 +107,10 @@ class RuleBasedD2T:
             ]
         else:
             name = next((m.value for m in rs.records if m.is_subject), None)
-            others = [m for m in rs.records if not m.is_subject]
-            if name is None:
-                sentences = [f"{_phrase(m.key)} {m.value}." for m in rs.records]
-            elif not others:
-                sentences = [f"{name}."]
-            else:
-                sentences = [f"{name} {_phrase(m.key)} {m.value}." for m in others]
+            lead = "" if name is None else f"{name} "
+            sentences = [
+                f"{lead}{_phrase(m.key)} {m.value}." for m in rs.records if not m.is_subject
+            ] or [f"{name}."]
         return " ".join(sentences)
 
 
@@ -150,12 +148,12 @@ class RuleBasedT2D:
         kinds = {rs.kind for rs in record_sets}
         if len(kinds) != 1:
             raise ValueError("catalog record sets must share one variant")
-        self.kind = kinds.pop()
+        kind = kinds.pop()
         entries: dict[tuple, _CatalogEntry] = {}
         # first value -> indices of the entries listing it first; an entry can
         # only be recovered when its first value is found
         by_first: dict[str, list[int]] = {}
-        mr_set = self.kind is RecordKind.MR_SET
+        mr_set = kind is RecordKind.MR_SET
         for rs in record_sets:
             for r in rs.records:
                 values = tuple(map(str.casefold, r.values))
@@ -394,14 +392,6 @@ class RemoteServable:
     def load(self, tag: str) -> None:
         self._request("load", tag=tag)
 
-    def shutdown(self) -> None:
-        """Ask the server to stop, if connected, then close the connection."""
-        if self._sock is not None:
-            try:
-                self._request("shutdown")
-            finally:
-                self.close()
-
     def close(self) -> None:
         if self._sock is None:
             return
@@ -458,6 +448,17 @@ def _where(h: ModelHandle) -> str:
     return f"{h.direction.value} at {h.endpoint or 'in process'}"
 
 
+def _call(h: ModelHandle, cmd: str, *args, **kwargs):
+    """The servable's answer to `cmd`; any exception it raises that is not a
+    GatewayError becomes one naming the command and where it ran."""
+    try:
+        return getattr(h.servable, cmd)(*args, **kwargs)
+    except GatewayError:
+        raise
+    except Exception as exc:
+        raise GatewayError(f"{cmd} raised {type(exc).__name__} ({_where(h)}): {exc}") from exc
+
+
 def generate_batch(h: ModelHandle, inputs: Sequence[str]) -> list[str]:
     """One output per input, order preserved, whatever the servable;
     GatewayError for an answer that is not a list of that many strings, or
@@ -465,7 +466,7 @@ def generate_batch(h: ModelHandle, inputs: Sequence[str]) -> list[str]:
     JSON escape; UTF-8, and so no digest, report or request, can)."""
     if not inputs:
         raise ValueError("generate_batch needs a non-empty input batch")
-    outputs = h.servable.generate(inputs, max_len=MAX_LEN, min_len=MIN_LEN)
+    outputs = _call(h, "generate", inputs, max_len=MAX_LEN, min_len=MIN_LEN)
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
         raise GatewayError(f"generate answer is not a list of strings ({_where(h)}): {outputs!r:.200}")
     if len(outputs) != len(inputs):
@@ -481,7 +482,7 @@ def train_batch(h: ModelHandle, pairs: Sequence[tuple[str, str]]) -> TrainAck:
     int or float."""
     if not pairs:
         raise ValueError("train_batch needs a non-empty pair batch")
-    loss = h.servable.train(pairs)
+    loss = _call(h, "train", pairs)
     if loss is None:
         return TrainAck()
     # type, not isinstance: JSON true is a bool, and True == 1
@@ -497,7 +498,7 @@ def train_batch(h: ModelHandle, pairs: Sequence[tuple[str, str]]) -> TrainAck:
 
 
 def checkpoint(h: ModelHandle, action: CheckpointAction, tag: str) -> None:
-    """Save or load a named checkpoint."""
+    """Save or load a named checkpoint; GatewayError if the servable fails."""
     if not tag or not tag.strip():
         raise ValueError("checkpoint tag must be non-empty")
-    getattr(h.servable, action.value)(tag)
+    _call(h, action.value, tag)

@@ -78,7 +78,8 @@ def delinearize(t: str, kind: RecordKind) -> DelinearizeResult:
     Input may be arbitrary model output: segments that do not split into the
     exact field count for `kind`, or whose fields border on a separator, are
     dropped and counted, never fabricated.
-    Raises DelinearizeError (carrying the drop count) when nothing parses.
+    Raises DelinearizeError, its message stating the drop count, when nothing
+    parses.
     """
     records: list[Record] = []
     dropped = 0
@@ -90,9 +91,6 @@ def delinearize(t: str, kind: RecordKind) -> DelinearizeResult:
         else:
             records.append(r)
     if not records:
-        raise DelinearizeError(
-            f"no parseable {kind.value} segment in {t!r} ({dropped} dropped)",
-            dropped=dropped,
-        )
+        raise DelinearizeError(f"no parseable {kind.value} segment in {t!r} ({dropped} dropped)")
     return DelinearizeResult(RecordSet._of_kind(tuple(records), kind), dropped)
 

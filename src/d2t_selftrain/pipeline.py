@@ -30,7 +30,7 @@ import os
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Optional, Sequence
@@ -231,20 +231,13 @@ class EpochTrace:
         }
 
 
-@dataclass(frozen=True)
-class BestCheckpoints:
-    meteor: Optional[float] = None
-    osf_precision: Optional[float] = None
-    d2t_tag: Optional[str] = None
-    t2d_tag: Optional[str] = None
-
-
 @dataclass
 class RunState:
     """All that a run's closed epochs leave behind: their summaries, the
     selection totals, the audit's facts (pairs re-judged, stale notes, the
-    distinct reserve keys in first-draw order), the best checkpoints and the
-    stage timings. Its JSON form is the snapshot's "state". `_reserve_seen`
+    distinct reserve keys in first-draw order), the best checkpoints (their
+    validation scores and tags, None before the first save) and the stage
+    timings. Its JSON form is the snapshot's "state". `_reserve_seen`
     holds the reserve keys again as a set, for the membership check, and
     takes no part in equality or the JSON form."""
 
@@ -253,7 +246,7 @@ class RunState:
     revalidated: int = 0
     stale: list[str] = field(default_factory=list)
     reserve_keys: list[tuple[str, str]] = field(default_factory=list)
-    best: BestCheckpoints = BestCheckpoints()
+    best: dict = field(default_factory=lambda: dict.fromkeys(("meteor", "osf_precision", "d2t_tag", "t2d_tag")))
     timing: dict[str, float] = field(default_factory=dict)
     _reserve_seen: set[tuple[str, str]] = field(default_factory=set, compare=False, repr=False)
 
@@ -452,31 +445,31 @@ class Orchestrator:
         return val_meteor, val_osf_p
 
     def select_checkpoint(self, trace: EpochTrace) -> EpochTrace:
-        """Strict-improvement checkpointing; ties keep the earlier model."""
+        """Strict-improvement checkpointing; ties keep the earlier model. The
+        best checkpoints change only once both saves went through."""
         best = self.state.best
-        saved_d2t = saved_t2d = False
-        if best.meteor is None or trace.val_meteor_d2t > best.meteor:
+        saved = {}
+        if best["meteor"] is None or trace.val_meteor_d2t > best["meteor"]:
             tag = f"d2t-epoch{trace.epoch + 1}"
             checkpoint(self.cfg.d2t, CheckpointAction.SAVE, tag)
-            best = replace(best, meteor=trace.val_meteor_d2t, d2t_tag=tag)
-            saved_d2t = True
-        if best.osf_precision is None or trace.val_osf_precision_t2d > best.osf_precision:
+            saved.update(meteor=trace.val_meteor_d2t, d2t_tag=tag)
+        if best["osf_precision"] is None or trace.val_osf_precision_t2d > best["osf_precision"]:
             tag = f"t2d-epoch{trace.epoch + 1}"
             checkpoint(self.cfg.t2d, CheckpointAction.SAVE, tag)
-            best = replace(best, osf_precision=trace.val_osf_precision_t2d, t2d_tag=tag)
-            saved_t2d = True
-        self.state.best = best
+            saved.update(osf_precision=trace.val_osf_precision_t2d, t2d_tag=tag)
+        best.update(saved)
         return replace(
-            trace, checkpoint_saved_d2t=saved_d2t, checkpoint_saved_t2d=saved_t2d
+            trace, checkpoint_saved_d2t="d2t_tag" in saved, checkpoint_saved_t2d="t2d_tag" in saved
         )
 
     def evaluate_test(self) -> MetricReport:
         """Load the best checkpoints and report the full metric set on the
         test split, with T2D reconstructions for the slot-filling scores."""
-        if self.state.best.d2t_tag:
-            checkpoint(self.cfg.d2t, CheckpointAction.LOAD, self.state.best.d2t_tag)
-        if self.state.best.t2d_tag:
-            checkpoint(self.cfg.t2d, CheckpointAction.LOAD, self.state.best.t2d_tag)
+        best = self.state.best
+        if best["d2t_tag"]:
+            checkpoint(self.cfg.d2t, CheckpointAction.LOAD, best["d2t_tag"])
+        if best["t2d_tag"]:
+            checkpoint(self.cfg.t2d, CheckpointAction.LOAD, best["t2d_tag"])
         test = self.cfg.test.examples
         outputs = generate_batch(self.cfg.d2t, [ex.source_text for ex in test])
         recon_raw = generate_batch(self.cfg.t2d, outputs)
@@ -586,6 +579,6 @@ class Orchestrator:
             selection_stats=state.selection,
             final_metrics=final,
             audit=self.audit(),
-            best=asdict(state.best),
+            best=dict(state.best),
             timing=dict(state.timing),
         )

@@ -5,18 +5,19 @@ object per line. Exists so the pipeline can be driven end-to-end against a
 real socket without a neural model: `RuleServable`, the in-process servable
 of `gateway` re-exported here, wraps the deterministic rule-based baselines
 and answers train requests with a pseudo loss equal to the pair count. Real
-model servers only need to reproduce the same five commands.
+model servers only need to reproduce the same four commands: generate,
+train, save and load. No request stops a server; `ModelServer.stop` does.
 
 Protocol per connection: requests are read by `gateway.read_message` and
 replies written by `gateway.write_message`, the framing the client uses the
 other way round, and request ids must be strictly increasing. A line that
 breaks the framing (over-long, cut off at end of stream, not a JSON object,
 NaN or Infinity inside, no integer id) or an id out of order is answered
-with ok=false and the connection dropped. A servable's error, or an answer
-JSON cannot carry (a NaN loss, say), is answered with ok=false and the
-connection kept. A read or write that fails (the client reset or went away)
-ends the connection quietly. What a servable answers is checked by the
-client's batch calls, not here.
+with ok=false and the connection dropped. An unknown command, a servable's
+error, or an answer JSON cannot carry (a NaN loss, say), is answered with
+ok=false and the connection kept. A read or write that fails (the client
+reset or went away) ends the connection quietly. What a servable answers is
+checked by the client's batch calls, not here.
 """
 
 from __future__ import annotations
@@ -72,9 +73,6 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._reply({"id": rid, "ok": False, "error": str(exc)})
                 continue
             self._reply({"id": rid, "ok": True, **extra})
-            if cmd == "shutdown":
-                threading.Thread(target=self.server.shutdown, daemon=True).start()
-                return
 
     def _dispatch(self, servable, cmd: str, req: dict) -> dict:
         if cmd == "generate":
@@ -105,8 +103,6 @@ class _Handler(socketserver.StreamRequestHandler):
             if not isinstance(tag, str) or not tag.strip():
                 raise ValueError("'tag' must be a non-empty string")
             getattr(servable, cmd)(tag)
-            return {}
-        if cmd == "shutdown":
             return {}
         raise ValueError(f"unknown cmd {cmd!r}")
 

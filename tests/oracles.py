@@ -395,9 +395,7 @@ def delinearize(t: str, kind: RecordKind) -> DelinearizeResult:
         except RecordFieldError:
             dropped += 1
     if not records:
-        raise DelinearizeError(
-            f"no parseable {kind.value} segment in {t!r} ({dropped} dropped)", dropped=dropped
-        )
+        raise DelinearizeError(f"no parseable {kind.value} segment in {t!r} ({dropped} dropped)")
     return DelinearizeResult(RecordSet(tuple(records), kind), dropped)
 
 

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line entry point."""
 
+import csv
 import gc
 import io
 import json
+import random
 import warnings
 
 import pytest
@@ -20,6 +22,57 @@ DART_ENTRY = {
     ],
     "annotations": [{"text": DART_TARGET}],
 }
+
+
+# E2E restaurant names and attribute values, in the dataset's attribute order
+_E2E_NAMES = (
+    "The Golden Curry", "Blue Spice", "The Eagle", "Aromi", "The Phoenix", "Zizzi", "Browns Cambridge",
+    "The Wrestlers", "Fitzbillies", "The Mill", "Cotto", "Strada", "The Punter", "Green Man", "Alimentum",
+    "Clowns", "The Vaults", "Midsummer House", "Giraffe", "Loch Fyne", "Wildwood", "The Cricketers",
+    "Bibimbap House", "The Olive Grove", "The Rice Boat", "The Twenty Two", "The Dumpling Tree", "Cocum",
+)
+_E2E_VALUES = {
+    "eatType": ("coffee shop", "pub", "restaurant"),
+    "food": ("English", "French", "Italian", "Chinese", "Indian", "Japanese", "Fast food"),
+    "priceRange": ("less than £20", "£20-25", "more than £30", "cheap", "moderate", "high"),
+    "customer rating": ("1 out of 5", "3 out of 5", "5 out of 5", "low", "average", "high"),
+    "area": ("riverside", "city centre"),
+    "familyFriendly": ("yes", "no"),
+    "near": ("Café Rouge", "The Sorrento", "Burger King", "Raja Indian Cuisine", "All Bar One", "Crowne Plaza Hotel"),
+}
+# two wordings per attribute, one for each reference of an MR
+_E2E_PHRASES = {
+    "eatType": ("is a {}", "It is a {}."),
+    "food": ("serves {} food", "It serves {} food."),
+    "priceRange": ("has a price range of {}", "Prices are {}."),
+    "customer rating": ("has a customer rating of {}", "It is rated {}."),
+    "area": ("is in the {} area", "You can find it in the {}."),
+    "familyFriendly": ("is {}family friendly", "It is {}kid friendly."),
+    "near": ("is near {}", "It is close to {}."),
+}
+
+
+def _write_e2e_csv(path, n_mrs, seed):
+    """An E2E CSV of `n_mrs` MRs, each a name and 2-5 other attributes, on
+    two rows with two references, as the real files repeat an MR."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n_mrs):
+        name = rng.choice(_E2E_NAMES)
+        keys = sorted(rng.sample(list(_E2E_VALUES), rng.randint(2, 5)), key=list(_E2E_VALUES).index)
+        pairs = [(k, rng.choice(_E2E_VALUES[k])) for k in keys]
+        mr = ", ".join(f"{k}[{v}]" for k, v in [("name", name), *pairs])
+        clauses, sentences = [], [f"{name} is a place to eat."]
+        for k, v in pairs:
+            shown = {"yes": "", "no": "not "}[v] if k == "familyFriendly" else v
+            clauses.append(_E2E_PHRASES[k][0].format(shown))
+            sentences.append(_E2E_PHRASES[k][1].format(shown))
+        rows.append((mr, f"{name} {', '.join(clauses[:-1])} and {clauses[-1]}."))
+        rows.append((mr, " ".join(sentences)))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["mr", "ref"])
+        writer.writerows(rows)
 
 
 def _feed_stdin(monkeypatch, text):
@@ -236,6 +289,17 @@ class TestEvalCommand:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def e2e_files(tmp_path_factory):
+    """--train/--val/--test arguments naming E2E CSVs of 200, 30 and 30 MRs."""
+    root = tmp_path_factory.mktemp("e2e")
+    args = []
+    for split, n_mrs, seed in (("train", 200, 1), ("val", 30, 2), ("test", 30, 3)):
+        _write_e2e_csv(root / f"{split}.csv", n_mrs, seed)
+        args += [f"--{split}", str(root / f"{split}.csv")]
+    return args
+
+
 class TestRunCommand:
     def test_synthetic_self_mem(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -349,6 +413,36 @@ class TestRunCommand:
             "validation": 1,
             "test": 2,
         }
+
+    # exit code and failing audit checks per method on the `e2e_files`
+    # corpus: without new data, a self-memory subset comes out short
+    @pytest.mark.parametrize(
+        "method, rc, failing",
+        [
+            ("no-self-mem-1", 0, []),
+            ("no-self-mem-2", 0, []),
+            ("no-self-mem-3", 0, []),
+            ("self-mem", EXIT_AUDIT_FAILED, ["subset-size-equals-step1-size"]),
+            ("self-mem+self-t2d", EXIT_AUDIT_FAILED, ["subset-size-equals-step1-size"]),
+            ("self-mem+new-data", 0, []),
+            ("self-mem+new-data+self-t2d", 0, []),
+        ],
+    )
+    def test_e2e_files_run(self, e2e_files, tmp_path, capsys, method, rc, failing):
+        report_path = tmp_path / "report.json"
+        code = main(["run", "--dataset", "e2e", *e2e_files, "--method", method, "--report", str(report_path)])
+        assert f"audit {'ok' if code == 0 else 'FAILED'}" in capsys.readouterr().out
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert report["config"]["dataset_sizes"] == {"train": 400, "validation": 60, "test": 60}
+        checks = {c["name"]: c for c in report["audit"]["checks"]}
+        failed = [name for name, c in checks.items() if not c["passed"]]
+        # every run writes its report and either passes its audit or fails
+        # only the subset size
+        assert (code, report["audit"]["valid"], failed) in ((0, True, []), (EXIT_AUDIT_FAILED, False, ["subset-size-equals-step1-size"]))
+        assert (code, failed) == (rc, failing)
+        if failed:
+            detail = checks["subset-size-equals-step1-size"]["detail"]
+            assert detail == "block size 120, subset sizes [100, 95, 102]"
 
     def test_non_utf8_e2e_file_exits_with_an_error(self, tmp_path, capsys):
         paths = []

@@ -60,6 +60,11 @@ def test_rule_d2t_mr_uses_name_as_subject():
     assert d2t.generate("name : The Inn") == "The Inn."
 
 
+def test_rule_d2t_mr_without_name_renders_each_pair():
+    out = RuleBasedD2T().generate("food : English | area : riverside")
+    assert out == "food English. area riverside."
+
+
 def test_rule_d2t_unparseable_input_yields_empty():
     assert RuleBasedD2T().generate("no separators here") == ""
 
@@ -440,12 +445,6 @@ def test_external_connection_refused():
         generate_batch(h, ["x"])
 
 
-def test_external_shutdown(echo_server):
-    h = external_handle(Direction.D2T, echo_server.endpoint)
-    generate_batch(h, ["A : LIKES : B"])
-    h.servable.shutdown()  # must not raise; server thread stops itself
-
-
 def _timed_stop(server: ModelServer) -> float:
     """Seconds one stop() takes; a stop that hangs fails the test after 2 s."""
     t0 = time.perf_counter()
@@ -678,15 +677,18 @@ def test_wire_rejects_malformed_json(echo_server):
 
 
 def test_wire_unknown_command_keeps_connection(echo_server):
+    # "shutdown" is no command: a client cannot stop the server
     replies = _raw_roundtrip(
         echo_server.endpoint,
         [
             json.dumps({"id": 1, "cmd": "dance"}),
-            json.dumps({"id": 2, "cmd": "save", "tag": "t"}),
+            json.dumps({"id": 2, "cmd": "shutdown"}),
+            json.dumps({"id": 3, "cmd": "save", "tag": "t"}),
         ],
     )
-    assert replies[0]["ok"] is False
-    assert replies[1]["ok"] is True
+    assert replies[0] == {"id": 1, "ok": False, "error": "unknown cmd 'dance'"}
+    assert replies[1] == {"id": 2, "ok": False, "error": "unknown cmd 'shutdown'"}
+    assert replies[2] == {"id": 3, "ok": True}
 
 
 def test_wire_rejects_boolean_ids(echo_server):

@@ -264,19 +264,19 @@ class TestCheckpointSelection:
 
         first = orch.select_checkpoint(self._trace(0, 0.30, 0.40))
         assert first.checkpoint_saved_d2t and first.checkpoint_saved_t2d
-        assert orch.state.best.d2t_tag == "d2t-epoch1"
-        assert orch.state.best.t2d_tag == "t2d-epoch1"
+        assert orch.state.best["d2t_tag"] == "d2t-epoch1"
+        assert orch.state.best["t2d_tag"] == "t2d-epoch1"
 
         second = orch.select_checkpoint(self._trace(1, 0.35, 0.40))
         # METEOR improved, slot precision tied: only the D2T model rolls
         assert second.checkpoint_saved_d2t and not second.checkpoint_saved_t2d
-        assert orch.state.best.d2t_tag == "d2t-epoch2"
-        assert orch.state.best.t2d_tag == "t2d-epoch1"
+        assert orch.state.best["d2t_tag"] == "d2t-epoch2"
+        assert orch.state.best["t2d_tag"] == "t2d-epoch1"
 
         third = orch.select_checkpoint(self._trace(2, 0.33, 0.39))
         assert not third.checkpoint_saved_d2t and not third.checkpoint_saved_t2d
-        assert orch.state.best.meteor == 0.35
-        assert orch.state.best.osf_precision == 0.40
+        assert orch.state.best["meteor"] == 0.35
+        assert orch.state.best["osf_precision"] == 0.40
 
         assert saved == [
             (CheckpointAction.SAVE, "d2t-epoch1"),
@@ -619,6 +619,59 @@ class TestAborts:
         assert data["epoch"] == 0
         assert data["reason"] == str(exc_info.value.__cause__)
         assert data["state"]["epochs"] == []
+
+    @pytest.mark.parametrize("served", [False, True], ids=["in-process", "served"])
+    @pytest.mark.parametrize(
+        "cmd, direction, label, epoch",
+        [
+            ("generate", Direction.D2T, "epoch 1", 0),
+            ("train", Direction.D2T, "bootstrap", -1),
+            # the D2T save goes through first; the best checkpoints stay unset
+            ("save", Direction.T2D, "epoch 1", 0),
+        ],
+        ids=["generate", "train", "save"],
+    )
+    def test_a_servable_that_raises_ends_in_epoch_error_with_snapshot(self, small_splits, tmp_path, served, cmd, direction, label, epoch):
+        train, val, test = small_splits
+        handles = dict(zip((Direction.D2T, Direction.T2D), rule_handles(small_splits)))
+        servable = handles[direction].servable
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("model crashed")
+
+        setattr(servable, cmd, crash)
+        snap = tmp_path / "snapshot.json"
+        with ModelServer(servable) as srv:
+            if served:
+                handles[direction] = external_handle(direction, srv.endpoint)
+            cfg = RunConfig(
+                method=Method.SELF_MEM,
+                d2t=handles[Direction.D2T],
+                t2d=handles[Direction.T2D],
+                train=train,
+                val=val,
+                test=test,
+                resume_path=snap,
+            )
+            try:
+                with pytest.raises(EpochError, match=f"^{label} aborted: ") as exc_info:
+                    Orchestrator(cfg).run()
+            finally:
+                handles[direction].close()
+        cause = exc_info.value.__cause__
+        assert isinstance(cause, GatewayError)
+        if served:
+            assert str(cause) == f"server refused {cmd!r}: model crashed"
+        else:
+            where = f"{direction.value} at in process"
+            assert str(cause) == f"{cmd} raised RuntimeError ({where}): model crashed"
+            assert isinstance(cause.__cause__, RuntimeError)
+        assert exc_info.value.epoch == epoch
+        data = json.loads(snap.read_text(encoding="utf-8"))
+        assert data["epoch"] == epoch
+        assert data["reason"] == str(cause)
+        assert data["state"]["epochs"] == []
+        assert set(data["state"]["best"].values()) == {None}
 
     def test_empty_subset_ends_in_epoch_error_with_snapshot(self, tmp_path):
         class AnswersX(RuleServable):
