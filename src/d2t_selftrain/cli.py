@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .datasets import SplitName, load_dart, load_e2e, synthetic_dataset
+from .datasets import SplitName, load_dart, load_e2e, read_lines, synthetic_dataset
 from .errors import DelinearizeError, PipelineError, RecordFieldError
 from .gateway import Direction, RuleBasedT2D, external_handle, rule_based_handle
 from .linearize import delinearize, linearize
@@ -165,32 +165,25 @@ def _cmd_run(args) -> int:
     return 0 if report.audit["valid"] else EXIT_AUDIT_FAILED
 
 
-def _read_lines(path: Path) -> list[str]:
-    # "\n" only: str.splitlines also breaks at U+2028, U+0085 and \x1c-\x1e,
-    # which can sit inside a line and would shift every later line
-    text = Path(path).read_text(encoding="utf-8-sig")
-    return text.removesuffix("\n").split("\n") if text else []
-
-
 def _cmd_eval(args) -> int:
-    candidates = _read_lines(args.hyp)
+    candidates = read_lines(args.hyp)
     references = [
         [ref for ref in line.split("\t") if ref.strip()]
-        for line in _read_lines(args.refs)
+        for line in read_lines(args.refs)
     ]
     kind = RecordKind(args.kind)
     sources = None
     reconstructions = None
     if args.sources:
         sources = [
-            delinearize(line, kind).record_set for line in _read_lines(args.sources)
+            delinearize(line, kind).record_set for line in read_lines(args.sources)
         ]
     if args.reconstructions:
         if sources is None:
             print("error: --reconstructions requires --sources", file=sys.stderr)
             return 2
         reconstructions = []
-        for line in _read_lines(args.reconstructions):
+        for line in read_lines(args.reconstructions):
             try:
                 reconstructions.append(delinearize(line, kind).record_set)
             except DelinearizeError:
@@ -215,7 +208,10 @@ def _cmd_optimize(args) -> int:
 
 
 def _record_set_from_json(line: str) -> RecordSet:
-    data = json.loads(line)
+    try:
+        data = json.loads(line)
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply: {exc}") from exc
     if not isinstance(data, list):
         return RecordSet.from_dict(data)
     # a bare array of records: the first variant whose records it holds

@@ -1,11 +1,14 @@
 """Dataset loading: DART JSON, E2E CSV, and a bundled synthetic corpus.
 
-Loaders are strict about structure (unreadable or non-UTF-8 files raise
-DatasetError) but tolerant per entry: anything malformed is skipped and
-reported in load_warnings, and no record field is ever fabricated or
-repaired. The synthetic corpus generates clean tripleset examples whose gold
-targets are verbose but value-complete, so the rule-based baselines can
-exercise every pipeline stage on a desk.
+Every input file, a loader's or one `read_lines` serves to `eval`, is read
+through `_read`: UTF-8 with an optional byte-order mark, line ends as
+written, and any fault (unreadable, not UTF-8, refused by its parser) a
+DatasetError naming the file. Loaders are strict about structure but
+tolerant per entry: anything malformed is skipped and reported in
+load_warnings, and no record field is ever fabricated or repaired. The
+synthetic corpus generates clean tripleset examples whose gold targets are
+verbose but value-complete, so the rule-based baselines can exercise every
+pipeline stage on a desk.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Any, Callable, Optional, TextIO, Union
 
 from .errors import DatasetError, LinearizationError, RecordFieldError
-from .linearize import linearize
-from .records import SUBJECT_KEY, Example, Mr, RecordKind, RecordSet, Triple, has_lone_surrogate, make_record
+from .linearize import linearize, render_records
+from .records import Example, Mr, RecordKind, RecordSet, Triple, has_lone_surrogate, make_record
 
 
 class SplitName(enum.Enum):
@@ -39,6 +42,34 @@ class DatasetSplit:
         return len(self.examples)
 
 
+def _read(path: Union[str, Path], parse: Callable[[TextIO], Any], form: str = "text") -> Any:
+    """`parse` applied to `path` opened as UTF-8 text, a byte-order mark
+    skipped and line ends left as written; any fault is a DatasetError that
+    names the file. A parser refuses its input with ValueError or csv.Error,
+    or with RecursionError on nesting too deep."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return parse(fh)
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
+    # before ValueError, which it subclasses
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text: {exc}") from exc
+    except (ValueError, csv.Error, RecursionError) as exc:
+        raise DatasetError(f"{path} is not {form}: {exc}") from exc
+
+
+def read_lines(path: Union[str, Path]) -> list[str]:
+    r"""The lines of a text file, each without its end.
+
+    Lines end at "\n" only, a "\r\n" end counting as one: str.splitlines
+    would also break at a lone "\r", U+2028, U+0085 and \x1c-\x1e, which can
+    sit inside a line and would shift every later line.
+    """
+    text = _read(path, lambda fh: fh.read()).replace("\r\n", "\n")
+    return text.removesuffix("\n").split("\n") if text else []
+
+
 def load_dart(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> DatasetSplit:
     """Parse the DART JSON array format.
 
@@ -48,14 +79,7 @@ def load_dart(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Data
     multiple Examples sharing one source. An entry whose triples or
     annotation texts hold a lone surrogate is skipped.
     """
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path} is not valid JSON: {exc}") from exc
+    raw = _read(path, json.load, "valid JSON")
     if not isinstance(raw, list):
         raise DatasetError(f"{path} must hold a JSON array of entries")
 
@@ -133,20 +157,16 @@ def _parse_mr(mr: str) -> list[tuple[str, str]]:
     return pairs
 
 
+def _csv_table(fh: TextIO) -> tuple[Optional[list[str]], list[dict[str, str]]]:
+    reader = csv.DictReader(fh)
+    return reader.fieldnames, list(reader)
+
+
 def load_e2e(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> DatasetSplit:
     """Parse the E2E CSV format with columns (mr, ref)."""
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"mr", "ref"} <= set(reader.fieldnames):
-                raise DatasetError(f"{path} lacks the mr/ref CSV columns")
-            rows = list(reader)
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path} is not UTF-8 text: {exc}") from exc
-    except csv.Error as exc:
-        raise DatasetError(f"{path} is not parseable CSV: {exc}") from exc
+    columns, rows = _read(path, _csv_table, "parseable CSV")
+    if columns is None or not {"mr", "ref"} <= set(columns):
+        raise DatasetError(f"{path} lacks the mr/ref CSV columns")
 
     examples: list[Example] = []
     warnings: list[str] = []
@@ -165,16 +185,16 @@ def load_e2e(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Datas
             warnings.append(f"row {i}: unparseable mr ({exc}), skipped")
             continue
         rs = RecordSet(records, RecordKind.MR_SET)
-        subject_key = SUBJECT_KEY
         if not any(r.is_subject for r in records):
-            # no common-subject pair; fall back to the first pair as subject
-            subject_key = records[0].key
-            warnings.append(f"row {i}: no name attribute, using {subject_key!r} as subject")
-        try:
-            source_text = linearize(rs, subject_key)
-        except LinearizationError as exc:
-            warnings.append(f"row {i}: cannot linearize ({exc}), skipped")
-            continue
+            # no common-subject pair: the pairs render as written, the first leading
+            warnings.append(f"row {i}: no name attribute, using {records[0].key!r} as subject")
+            source_text = render_records(records)
+        else:
+            try:
+                source_text = linearize(rs)
+            except LinearizationError as exc:
+                warnings.append(f"row {i}: cannot linearize ({exc}), skipped")
+                continue
         examples.append(Example(rs, source_text, ref))
     return DatasetSplit(name, tuple(examples), tuple(warnings))
 

@@ -38,13 +38,11 @@ class DelinearizeResult:
     dropped: int
 
 
-def _subject_index(rs: RecordSet, subject_key: str) -> int:
-    matches = [
-        i for i, r in enumerate(rs.records) if r.key.casefold() == subject_key.casefold()
-    ]
+def _subject_index(rs: RecordSet) -> int:
+    matches = [i for i, r in enumerate(rs.records) if r.is_subject]
     if len(matches) != 1:
         raise LinearizationError(
-            f"MR set must contain the subject pair {subject_key!r} exactly once, "
+            f"MR set must contain the subject pair {SUBJECT_KEY!r} exactly once, "
             f"found {len(matches)}"
         )
     return matches[0]
@@ -55,18 +53,18 @@ def render_records(records) -> str:
     return RECORD_SEP.join(FIELD_SEP.join(r.fields) for r in records)
 
 
-def linearize(rs: RecordSet, subject_key: str = SUBJECT_KEY) -> str:
+def linearize(rs: RecordSet) -> str:
     """Render a valid record set in the linear string format.
 
-    For MR sets the common-subject pair, the one keyed `subject_key`
-    (case-folded), is moved to the front; everything else keeps its original
+    For MR sets the common-subject pair (`Mr.is_subject`), which must occur
+    exactly once, is moved to the front; everything else keeps its original
     order. Fields need no check here: records reject the separators when
     they are built.
     """
     if rs.is_empty:
         raise LinearizationError("cannot linearize an empty record set")
     if rs.kind is RecordKind.MR_SET:
-        si = _subject_index(rs, subject_key)
+        si = _subject_index(rs)
         ordered = (rs.records[si],) + rs.records[:si] + rs.records[si + 1 :]
         return render_records(ordered)
     return render_records(rs.records)

@@ -111,6 +111,11 @@ class TestLinearizeCommand:
         assert main(["linearize"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nesting_too_deep_is_a_malformed_line(self, monkeypatch, capsys):
+        _feed_stdin(monkeypatch, "[" * 100_000 + "]" * 100_000 + "\n")
+        assert main(["linearize"]) == 1
+        assert capsys.readouterr().err.startswith("error: JSON nested too deeply")
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -141,6 +146,12 @@ class TestDelinearizeCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["kind"] == "mrset"
         assert out["records"] == [["name", "X"], ["food", "Thai"]]
+
+    def test_blank_lines_skipped(self, monkeypatch, capsys):
+        _feed_stdin(monkeypatch, "A : P : B\n\n   \nC : Q : D\n")
+        assert main(["delinearize"]) == 0
+        out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [o["records"] for o in out] == [[["A", "P", "B"]], [["C", "Q", "D"]]]
 
     def test_dropped_counted(self, monkeypatch, capsys):
         _feed_stdin(monkeypatch, "A : P : B | junk\n")
@@ -254,7 +265,7 @@ class TestEvalCommand:
         assert report["osf"]["f1"] == 100.0
         assert report["bleu"] == 100.0
 
-    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e", "\x0b", "\x0c"])
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e", "\x0b", "\x0c", "\r"])
     def test_lines_break_at_newline_only(self, tmp_path, capsys, sep):
         # splitlines() would cut hyp line 1 and refs line 2 in two, leaving
         # three misaligned items; the tokenizer reads `sep` as a space
@@ -264,6 +275,19 @@ class TestEvalCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["bleu"] == 1.0
         assert report["ter"] == 0.0
+
+    def test_crlf_line_ends_score_as_newlines(self, tmp_path, capsys):
+        hyp = ["the cat sat on the mat", "a dog ran over the hill", "third line"]
+        refs = ["the cat sat down", "a dog ran over the hill\ta dog ran", "third line here"]
+        hyp_path, refs_path = tmp_path / "hyp.txt", tmp_path / "refs.txt"
+        reports = []
+        for end in ("\n", "\r\n"):
+            hyp_path.write_bytes(end.join(hyp + [""]).encode())
+            refs_path.write_bytes(end.join(refs + [""]).encode())
+            assert main(["eval", "--hyp", str(hyp_path), "--refs", str(refs_path)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert reports[0]["ter"] > 0.0
 
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         lines = ["the cat sat on the mat", "a dog ran over the hill"]
@@ -287,6 +311,21 @@ class TestEvalCommand:
         rc = main(["eval", "--hyp", str(tmp_path / "nope.txt"), "--refs", refs])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_named(self, tmp_path, capsys):
+        hyp = self._write(tmp_path / "hyp.txt", ["caf\xe9"], "latin-1")
+        refs = self._write(tmp_path / "refs.txt", ["café"])
+        assert main(["eval", "--hyp", hyp, "--refs", refs]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {hyp} is not UTF-8 text: ")
+
+    def test_unparseable_reconstruction_scores_zero_osf(self, tmp_path, capsys):
+        hyp = self._write(tmp_path / "hyp.txt", ["A stands by B", "C leads over D"])
+        sources = self._write(tmp_path / "src.txt", ["A : P : B", "C : Q : D"])
+        recon = self._write(tmp_path / "rec.txt", ["A : P : B", "no separators here"])
+        argv = ["eval", "--hyp", hyp, "--refs", hyp, "--sources", sources, "--reconstructions", recon]
+        assert main(argv) == 0
+        osf = json.loads(capsys.readouterr().out)["osf"]
+        assert osf == {"precision": 0.5, "recall": 0.5, "f1": 0.5}
 
 
 @pytest.fixture(scope="module")

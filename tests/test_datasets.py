@@ -20,7 +20,7 @@ from d2t_selftrain import (
     rule_based_handle,
     synthetic_dataset,
 )
-from d2t_selftrain.datasets import SplitName, _parse_mr
+from d2t_selftrain.datasets import SplitName, _parse_mr, read_lines
 
 GOLDEN_DART_ENTRY = {
     "tripleset": [
@@ -159,6 +159,12 @@ class TestLoadDart:
         with pytest.raises(DatasetError, match=f"{path.name} is not UTF-8"):
             load_dart(path)
 
+    def test_nesting_too_deep_is_invalid_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"{path.name} is not valid JSON"):
+            load_dart(path)
+
     def test_top_level_must_be_array(self, tmp_path):
         path = tmp_path / "obj.json"
         path.write_text(json.dumps({"tripleset": []}), encoding="utf-8")
@@ -201,6 +207,19 @@ class TestLoadE2e:
         assert warnings[3].startswith("row 4: unparseable mr")
         assert warnings[4].startswith("row 6: unparseable mr")
 
+    def test_nameless_row_keeps_its_pairs_as_written(self, tmp_path):
+        # the first pair leads even when its key repeats
+        split = load_e2e(_write_e2e(tmp_path, [("food[English], food[Thai]", "Ref.")]))
+        assert [ex.source_text for ex in split.examples] == ["food : English | food : Thai"]
+        assert split.load_warnings == ("row 0: no name attribute, using 'food' as subject",)
+
+    def test_two_name_pairs_cannot_linearize(self, tmp_path):
+        split = load_e2e(_write_e2e(tmp_path, [("name[A], food[Thai], Name[B]", "Ref.")]))
+        assert len(split) == 0
+        assert len(split.load_warnings) == 1
+        assert split.load_warnings[0].startswith("row 0: cannot linearize (")
+        assert split.load_warnings[0].endswith("found 2), skipped")
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         rows = [(GOLDEN_E2E_MR, E2E_TARGET)]
         assert load_e2e(_write_e2e(tmp_path, rows, encoding="utf-8-sig")) == load_e2e(
@@ -229,6 +248,29 @@ class TestLoadE2e:
         path = _write_e2e(tmp_path, [("name[caf\xe9]", "Ref.")], encoding="latin-1")
         with pytest.raises(DatasetError, match=f"{path.name} is not UTF-8"):
             load_e2e(path)
+
+    def test_field_over_the_csv_limit(self, tmp_path):
+        ref = "x" * (csv.field_size_limit() + 1)
+        path = tmp_path / "e2e.csv"
+        path.write_text(f'mr,ref\nname[A],"{ref}"\n', encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"{path.name} is not parseable CSV"):
+            load_e2e(path)
+
+
+# Lines as the line reader returns them: no "\n" inside and no "\r" at the end,
+# where a "\r\n" end would take it.
+_text_lines = st.lists(
+    st.text(alphabet="a \t\r\u2028\x85\x1c", max_size=6).filter(lambda line: not line.endswith("\r")),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=_text_lines, end=st.sampled_from(["\n", "\r\n"]), bom=st.booleans())
+def test_read_lines_round_trip(tmp_path_factory, lines, end, bom):
+    path = tmp_path_factory.mktemp("lines") / "lines.txt"
+    path.write_bytes(("\ufeff" if bom else "").encode() + "".join(line + end for line in lines).encode())
+    assert read_lines(path) == lines
 
 
 # Values whose brackets nest and close inside them, as the parser expects.

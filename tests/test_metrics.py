@@ -720,6 +720,12 @@ def test_evaluate_corpus_full_report():
     assert report.ter == 0.0
 
 
+def test_evaluate_corpus_fewer_reconstructions_than_candidates():
+    source = RecordSet((Triple("a", "p", "b"),), RecordKind.TRIPLESET)
+    with pytest.raises(MetricError, match="reconstructions misaligned"):
+        evaluate_corpus(["a", "b"], [["a"], ["b"]], sources=[source, source], reconstructions=[source])
+
+
 def test_evaluate_corpus_alignment_errors():
     with pytest.raises(MetricError):
         evaluate_corpus(["a"], [["a"]], sources=[])

@@ -223,6 +223,16 @@ def test_build_subset_tops_up_from_reserve():
     assert len(keys) == len(set(keys))
 
 
+def test_build_subset_top_up_skips_reserve_pairs_already_held():
+    gold = [make_example(0)]
+    t, v = rejected_tuple(gold[0])
+    subset = build_subset(gold, [t], [v], 3, seed=1, reserve=[make_example(0), make_example(1)])
+    assert [(p.key(), p.origin) for p in subset] == [
+        ((gold[0].source_text, gold[0].target), Origin.REMAINING),
+        ((make_example(1).source_text, make_example(1).target), Origin.GOLD),
+    ]
+
+
 def test_build_subset_reserve_exhaustion_is_not_an_error():
     gold = [make_example(0)]
     t, v = accepted_tuple(gold[0])
