@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from .datasets import SplitName, load_dart, load_e2e, read_lines, synthetic_dataset
-from .errors import DelinearizeError, PipelineError, RecordFieldError
+from .errors import DatasetError, DelinearizeError, MetricError, PipelineError, RecordFieldError
 from .gateway import Direction, RuleBasedT2D, external_handle, rule_based_handle
 from .linearize import delinearize, linearize
 from .metrics import evaluate_corpus
@@ -165,19 +165,33 @@ def _cmd_run(args) -> int:
     return 0 if report.audit["valid"] else EXIT_AUDIT_FAILED
 
 
+def _parse_lines(path: Path, parse) -> list:
+    """`parse` of each line of `path`; a line it refuses ends the command
+    with a DatasetError naming the file and the line."""
+    parsed = []
+    for k, line in enumerate(read_lines(path), 1):
+        try:
+            parsed.append(parse(line))
+        except (PipelineError, ValueError) as exc:
+            raise DatasetError(f"{path} line {k}: {exc}") from exc
+    return parsed
+
+
+def _references(line: str) -> list[str]:
+    refs = [ref for ref in line.split("\t") if ref.strip()]
+    if not refs:
+        raise MetricError("no reference; every item needs at least one")
+    return refs
+
+
 def _cmd_eval(args) -> int:
     candidates = read_lines(args.hyp)
-    references = [
-        [ref for ref in line.split("\t") if ref.strip()]
-        for line in read_lines(args.refs)
-    ]
+    references = _parse_lines(args.refs, _references)
     kind = RecordKind(args.kind)
     sources = None
     reconstructions = None
     if args.sources:
-        sources = [
-            delinearize(line, kind).record_set for line in read_lines(args.sources)
-        ]
+        sources = _parse_lines(args.sources, lambda line: delinearize(line, kind).record_set)
     if args.reconstructions:
         if sources is None:
             print("error: --reconstructions requires --sources", file=sys.stderr)

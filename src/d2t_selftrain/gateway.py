@@ -140,6 +140,8 @@ class RuleBasedT2D:
     keyed by the text's tokens and checks only the entries whose first value
     it found: one call costs O(text + candidates), and a run that many values
     share ("amber" in "amber abbey 7") does not make them all candidates.
+    The catalog holds one string object per distinct folded value, and one
+    evidence phrase per label, however many records repeat them.
     """
 
     def __init__(self, record_sets: Sequence[RecordSet]):
@@ -153,22 +155,31 @@ class RuleBasedT2D:
         # first value -> indices of the entries listing it first; an entry can
         # only be recovered when its first value is found
         by_first: dict[str, list[int]] = {}
+        # each distinct folded value once: every entry holding it holds its
+        # first copy, and the keys are the catalog's values
+        shared: dict[str, str] = {}
+        # label -> its fold and its evidence phrase, both derived once
+        labels: dict[str, tuple[str, str]] = {}
         mr_set = kind is RecordKind.MR_SET
         for rs in record_sets:
             for r in rs.records:
-                values = tuple(map(str.casefold, r.values))
+                label = r.label
+                forms = labels.get(label)
+                if forms is None:
+                    forms = labels[label] = (label.casefold(), _phrase(label).casefold())
+                values = tuple([shared.setdefault(v, v) for v in map(str.casefold, r.values)])
                 # one variant, so the folded label and values identify a record
-                key = (r.label.casefold(), values)
+                key = (forms[0], values)
                 if key in entries:
                     continue
                 # an MR set's subject pair: its value alone recovers it
-                evidence = None if mr_set and r.is_subject else _phrase(r.label).casefold()
+                evidence = None if mr_set and r.is_subject else forms[1]
                 by_first.setdefault(values[0], []).append(len(entries))
                 entries[key] = _CatalogEntry(r, values, evidence)
         self._entries = tuple(entries.values())
         self._by_first = by_first
         # matching order: longest first, ties in value order (the sort is stable)
-        ordered = sorted({v for e in self._entries for v in e.values})
+        ordered = sorted(shared)
         ordered.sort(key=len, reverse=True)
         self._values = tuple(ordered)
         runs = [_TOKEN.findall(v) for v in ordered]

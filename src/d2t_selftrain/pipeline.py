@@ -346,6 +346,10 @@ class Orchestrator:
         train_batch(self.cfg.t2d, [(t, s) for s, t in pairs])
 
     def _infer_tuples(self, gold: Sequence[Example]) -> tuple[SelfMemTuple, ...]:
+        # The epoch judges its own copy of each gold source, so the forms that
+        # optimizing, judging and the audit derive on it go with the epoch's
+        # tuples instead of staying on the corpus. Equal fields, equal JSON.
+        x = [RecordSet._of_kind(ex.source.records, ex.source.kind) for ex in gold]
         sources = [ex.source_text for ex in gold]
         with self._timed("step2-infer-y-prime"):
             raw = generate_batch(self.cfg.d2t, sources)
@@ -364,7 +368,7 @@ class Orchestrator:
         changed: list[int] = []
         with self._timed("step4-optimize"):
             for i in present:
-                outcome = optimize_target(gold[i].source, y_prime[i])
+                outcome = optimize_target(x[i], y_prime[i])
                 y_dprime[i] = outcome.optimized
                 if outcome.changed:
                     changed.append(i)
@@ -378,7 +382,7 @@ class Orchestrator:
 
         return tuple(
             SelfMemTuple(
-                x=ex.source,
+                x=x[i],
                 y=ex.target,
                 y_prime=y_prime[i],
                 x_prime=x_prime[i],

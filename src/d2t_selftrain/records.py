@@ -244,9 +244,11 @@ class RecordSet:
     def __len__(self) -> int:
         return len(self.records)
 
-    # Derived on first use and stored on the instance, so a source judged in
-    # every epoch and again by the audit derives them once. They are not
-    # fields: equality, hashing, repr and to_dict never see them.
+    # Derived on first use and stored on the instance, so a set read many
+    # times derives them once. They are not fields: equality, hashing, repr
+    # and to_dict never see them. An epoch judges its own copy of each gold
+    # source, so the select pass and the audit derive them once per epoch and
+    # they go with the epoch's tuples; validation and test sets keep theirs.
 
     @cached_property
     def source_values(self) -> tuple[str, ...]:

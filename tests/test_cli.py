@@ -318,6 +318,21 @@ class TestEvalCommand:
         assert main(["eval", "--hyp", hyp, "--refs", refs]) == 1
         assert capsys.readouterr().err.startswith(f"error: {hyp} is not UTF-8 text: ")
 
+    def test_an_unparseable_source_line_is_named(self, tmp_path, capsys):
+        hyp = self._write(tmp_path / "hyp.txt", ["A stands by B", "C leads over D"])
+        sources = self._write(tmp_path / "src.txt", ["A : P : B", "junk"])
+        assert main(["eval", "--hyp", hyp, "--refs", hyp, "--sources", sources]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {sources} line 2: no parseable tripleset segment in 'junk' (1 dropped)\n"
+        )
+
+    def test_a_reference_line_without_a_reference_is_named(self, tmp_path, capsys):
+        hyp = self._write(tmp_path / "hyp.txt", ["a cat", "a dog", "a cow"])
+        refs = self._write(tmp_path / "refs.txt", ["a cat", "\t", "a cow"])
+        assert main(["eval", "--hyp", hyp, "--refs", refs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {refs} line 2: ") and "reference" in err
+
     def test_unparseable_reconstruction_scores_zero_osf(self, tmp_path, capsys):
         hyp = self._write(tmp_path / "hyp.txt", ["A stands by B", "C leads over D"])
         sources = self._write(tmp_path / "src.txt", ["A : P : B", "C : Q : D"])

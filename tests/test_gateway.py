@@ -341,6 +341,28 @@ def test_rule_t2d_cost_independent_of_values_sharing_runs(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_rule_t2d_catalog_holds_each_fold_once():
+    # a subject recurs across a set's triples, in another case in a later
+    # set, and each predicate recurs across sets
+    catalog = [
+        RecordSet(
+            (Triple("Ann Lee", "LIVES_IN", "New York"), Triple("Ann Lee", "BORN_IN", "Boston")),
+            RecordKind.TRIPLESET,
+        ),
+        RecordSet(
+            (Triple("ANN LEE", "BORN_IN", "New York"), Triple("Bob Ray", "LIVES_IN", "Boston")),
+            RecordKind.TRIPLESET,
+        ),
+    ]
+    cat = RuleBasedT2D(catalog)
+    assert len(cat._values) == 4
+    assert len({id(v) for e in cat._entries for v in e.values}) == len(cat._values)
+    phrases = {}
+    for e in cat._entries:
+        assert phrases.setdefault(e.record.label, e.evidence) is e.evidence
+    assert sorted(phrases.values()) == ["born in", "lives in"]
+
+
 # ------------------------------------------------------------ handles
 
 

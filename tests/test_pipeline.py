@@ -41,7 +41,7 @@ from d2t_selftrain import (
     strategy_for,
     synthetic_dataset,
 )
-from d2t_selftrain import gateway, pipeline, selection
+from d2t_selftrain import gateway, pipeline, records, selection
 from d2t_selftrain.datasets import DatasetSplit
 from d2t_selftrain.gateway import CheckpointAction
 
@@ -849,6 +849,57 @@ def test_no_epoch_tuples_outlive_the_epoch(small_splits, monkeypatch):
     assert len(report.epoch_summaries) == 3
     assert judged
     assert all(ref() is None for ref in judged)
+
+
+@pytest.mark.parametrize(
+    "method, data_mode",
+    [(Method.SELF_MEM_NEW_DATA_SELF_T2D, DataMode.FIXED), (Method.SELF_MEM, DataMode.RANDOM)],
+    ids=["desk-run-method", "self-mem-random"],
+)
+def test_a_run_leaves_no_derived_forms_on_the_train_corpus(method, data_mode):
+    # a fresh corpus: the session's splits are judged by other tests
+    splits = synthetic_dataset(n_train=40, n_val=8, n_test=8, seed=11)
+    orch = Orchestrator(make_config(splits, method=method, data_mode=data_mode))
+    report = orch.run()
+    blocks = orch.plan.epoch_indices
+    if data_mode is DataMode.RANDOM:
+        # a source drawn again in a later epoch is judged again
+        assert len(set(itertools.chain(*blocks))) < sum(map(len, blocks))
+    assert report.selection_stats["accepted_case1"] > 0
+    derived = {"source_values", "folded_values", "record_keys"}
+    assert all(not derived & ex.source.__dict__.keys() for ex in splits[0].examples)
+    # the validation sources, read in every epoch, keep theirs for the run
+    assert any("record_keys" in ex.source.__dict__ for ex in splits[1].examples)
+
+
+def test_the_audit_rejudging_derives_no_record_keys_through_a_run(monkeypatch):
+    keyed = 0
+    record_key = records.record_key
+
+    def counted_key(r):
+        nonlocal keyed
+        keyed += 1
+        return record_key(r)
+
+    # id -> (tuple, record_key calls per judging); holding each tuple keeps
+    # its id from being reused by a later epoch's
+    judged: dict[int, tuple[SelfMemTuple, list[int]]] = {}
+
+    def judge_and_count(tup):
+        before = keyed
+        verdict = selection.judge_pair(tup)
+        judged.setdefault(id(tup), (tup, []))[1].append(keyed - before)
+        return verdict
+
+    monkeypatch.setattr(records, "record_key", counted_key)
+    monkeypatch.setattr(pipeline, "judge_pair", judge_and_count)
+    splits = synthetic_dataset(n_train=40, n_val=8, n_test=8, seed=11)
+    Orchestrator(make_config(splits, method=Method.SELF_MEM_NEW_DATA_SELF_T2D)).run()
+    counts = [calls for _, calls in judged.values()]
+    rejudged = [calls for calls in counts if len(calls) == 2]
+    assert rejudged and all(len(calls) <= 2 for calls in counts)
+    # the select pass derives the keys, the audit's second judging reads them
+    assert all(first > 0 and again == 0 for first, again in rejudged)
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
