@@ -354,7 +354,9 @@ class RemoteServable:
             self._sock = socket.create_connection(self._address, timeout=_REQUEST_TIMEOUT)
         except OSError as exc:
             raise GatewayError(f"cannot connect to model server at {self.endpoint}: {exc}") from exc
-        self._stream = self._sock.makefile("rwb")
+        # two buffered files: a "rwb" pair has no readline of its own
+        self._reader = self._sock.makefile("rb")
+        self._writer = self._sock.makefile("wb")
         self._next_id = 1
 
     def _request(self, cmd: str, **payload) -> dict:
@@ -377,8 +379,8 @@ class RemoteServable:
         """Send one request and read its reply; GatewayError for a request
         JSON cannot carry and on any transport or framing failure."""
         try:
-            write_message(self._stream, {"id": rid, "cmd": cmd, **payload})
-            resp = read_message(self._stream)
+            write_message(self._writer, {"id": rid, "cmd": cmd, **payload})
+            resp = read_message(self._reader)
         except OSError as exc:
             raise GatewayError(f"connection lost during {cmd!r}: {exc}") from exc
         except (ValueError, TypeError) as exc:
@@ -406,7 +408,7 @@ class RemoteServable:
     def close(self) -> None:
         if self._sock is None:
             return
-        for stream in (self._stream, self._sock):
+        for stream in (self._reader, self._writer, self._sock):
             try:
                 stream.close()
             except OSError:

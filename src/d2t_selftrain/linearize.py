@@ -90,5 +90,5 @@ def delinearize(t: str, kind: RecordKind) -> DelinearizeResult:
             records.append(r)
     if not records:
         raise DelinearizeError(f"no parseable {kind.value} segment in {t!r} ({dropped} dropped)")
-    return DelinearizeResult(RecordSet._of_kind(tuple(records), kind), dropped)
+    return DelinearizeResult(RecordSet(records, kind), dropped)
 

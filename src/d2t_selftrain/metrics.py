@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import MetricError, VariantMismatchError
-from .records import RecordSet, find_bounded, fold, normalize_text
+from .records import RecordSet, find_bounded, fold
 from .stemming import stem
 
 Ngram = tuple[str, ...]
@@ -35,12 +35,13 @@ def _is_punct(ch: str) -> bool:
 def tokenize(text: str) -> list[str]:
     """Shared metric tokenizer.
 
-    Normalizes whitespace, case-folds, and splits leading/trailing
-    punctuation off each word as separate tokens; internal punctuation
-    (hyphens, apostrophes) stays attached.
+    Case-folds, splits at whitespace runs (case-folding makes no character
+    whitespace and none not), and splits leading/trailing punctuation off
+    each word as separate tokens; internal punctuation (hyphens,
+    apostrophes) stays attached.
     """
     tokens: list[str] = []
-    for chunk in normalize_text(text).casefold().split():
+    for chunk in text.casefold().split():
         if chunk[0].isalnum() and chunk[-1].isalnum():  # no punctuation to split off
             tokens.append(chunk)
             continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .records import RecordSet, find_bounded, fold, normalize_text
+from .records import RecordSet, find_bounded, normalize_text
 
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
 
@@ -55,7 +55,7 @@ def optimize_target(x: RecordSet, y_prime: str) -> OptimizationOutcome:
     kept: list[str] = []
     matched: list[str] = []
     for s in split_sentences(y_prime):
-        text = fold(s)
+        text = s.casefold()  # `fold(s)`: split_sentences normalised it
         for v, k in list(unmatched.items()):
             if find_bounded(text, k) is not None:
                 del unmatched[v]

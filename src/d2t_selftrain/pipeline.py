@@ -349,7 +349,7 @@ class Orchestrator:
         # The epoch judges its own copy of each gold source, so the forms that
         # optimizing, judging and the audit derive on it go with the epoch's
         # tuples instead of staying on the corpus. Equal fields, equal JSON.
-        x = [RecordSet._of_kind(ex.source.records, ex.source.kind) for ex in gold]
+        x = [RecordSet(ex.source.records, ex.source.kind) for ex in gold]
         sources = [ex.source_text for ex in gold]
         with self._timed("step2-infer-y-prime"):
             raw = generate_batch(self.cfg.d2t, sources)

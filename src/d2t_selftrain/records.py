@@ -8,7 +8,9 @@ no escaping scheme. Nor may a field start with ": " or "| ", end with " :" or
 " |", or be ":" or "|" alone: next to a separator it would form another one
 and shift the fields. `delinearize` builds records from fields cut out of
 normalised text through `_record_from_segment`, which skips the second
-normalisation but rejects exactly the fields construction rejects.
+normalisation but rejects exactly the fields construction rejects. Records
+keep their fields in slots; every RecordSet, parsed ones too, goes through
+its constructor's variant check.
 
 Each record variant owns its shape: `fields` in linear order, `values` (the
 fields a text about the record should mention) and `label` (the field that
@@ -110,7 +112,7 @@ class RecordKind(enum.Enum):
     MR_SET = "mrset"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: str
     predicate: str
@@ -134,7 +136,7 @@ class Triple:
         return self.predicate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mr:
     """One meaning-representation attribute, a key-value pair."""
 
@@ -190,6 +192,14 @@ _SEGMENT_HEADS = ("| ", ": ")
 _SEGMENT_TAILS = (" |", " :")
 
 
+# Each variant with the setters of its slots in field order: they fill a
+# record made by object.__new__ past the frozen __setattr__.
+_SLOT_SETTERS = {
+    kind: (cls, tuple(getattr(cls, name).__set__ for name in cls.__match_args__))
+    for kind, cls in _KIND_TYPES.items()
+}
+
+
 def _record_from_segment(kind: RecordKind, seg: str) -> Optional[Record]:
     """The `kind` record a segment of normalised linear text holds, built
     without re-normalising its fields; None where `make_record` would raise
@@ -197,13 +207,12 @@ def _record_from_segment(kind: RecordKind, seg: str) -> Optional[Record]:
     if seg.startswith(_SEGMENT_HEADS) or seg.endswith(_SEGMENT_TAILS) or " : : " in seg:
         return None
     fields = seg.split(FIELD_SEP)
-    make = _KIND_TYPES[kind]
-    if len(fields) != len(make.__match_args__):
+    make, setters = _SLOT_SETTERS[kind]
+    if len(fields) != len(setters):
         return None
     r = object.__new__(make)
-    # set as the dataclass __init__ sets them, so the record is stored alike
-    for name, value in zip(make.__match_args__, fields):
-        object.__setattr__(r, name, value)
+    for set_field, value in zip(setters, fields):
+        set_field(r, value)
     return r
 
 
@@ -232,14 +241,6 @@ class RecordSet:
                 raise VariantMismatchError(
                     f"{self.kind.value} record set contains a {type(r).__name__}"
                 )
-
-    @classmethod
-    def _of_kind(cls, records: tuple[Record, ...], kind: RecordKind) -> "RecordSet":
-        """A set of records all built as `kind` records, with no variant check."""
-        rs = object.__new__(cls)
-        object.__setattr__(rs, "records", records)
-        object.__setattr__(rs, "kind", kind)
-        return rs
 
     def __len__(self) -> int:
         return len(self.records)

@@ -470,6 +470,7 @@ class TestRunCommand:
 
     # exit code and failing audit checks per method on the `e2e_files`
     # corpus: without new data, a self-memory subset comes out short
+    @pytest.mark.hash_seeds
     @pytest.mark.parametrize(
         "method, rc, failing",
         [

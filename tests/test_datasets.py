@@ -265,6 +265,7 @@ _text_lines = st.lists(
 )
 
 
+@pytest.mark.hypothesis_seeds
 @settings(max_examples=200, deadline=None)
 @given(lines=_text_lines, end=st.sampled_from(["\n", "\r\n"]), bom=st.booleans())
 def test_read_lines_round_trip(tmp_path_factory, lines, end, bom):

@@ -165,6 +165,7 @@ def test_infer_record_set_prefers_cleaner_parse():
     assert infer_record_set("gibberish") is None
 
 
+@pytest.mark.hypothesis_seeds
 @settings(max_examples=500)
 @given(linear_texts)
 @example("a : b : c | d : e")  # one drop each: the tie goes to tripleset
@@ -254,6 +255,7 @@ def test_rule_t2d_index_matches_full_scan_with_shared_runs(data):
     _check_index_against_scan(data, _shared_run_values, _SHARED_RUNS)
 
 
+@pytest.mark.hypothesis_seeds
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_rule_t2d_recovery_implies_selection_finds_every_value(data):

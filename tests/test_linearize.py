@@ -207,6 +207,7 @@ def _observed(parse, text, kind):
     )
 
 
+@pytest.mark.hypothesis_seeds
 @settings(max_examples=500)
 @given(linear_texts, st.sampled_from(list(RecordKind)))
 @example("a : b : c |  d\t:\te : f", RecordKind.TRIPLESET)

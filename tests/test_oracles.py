@@ -4,6 +4,7 @@ an oracle that called a fast kernel would agree with it by construction."""
 import ast
 from pathlib import Path
 
+import d2t_selftrain
 import oracles
 
 # The fast kernels and the shared analysis they read.
@@ -18,7 +19,6 @@ _KERNELS = {
     "_max_ref_counts",
     "delinearize",
     "_record_from_segment",
-    "_of_kind",
     "infer_record_set",
     "osf",
     "tokenize",
@@ -48,6 +48,17 @@ def _kernel_references(source: str) -> list[tuple[int, str]]:
 def test_oracles_import_no_kernel_they_check():
     source = Path(oracles.__file__).read_text(encoding="utf-8")
     assert _kernel_references(source) == []
+
+
+def test_every_kernel_is_defined_in_the_package():
+    # a kernel deleted or renamed must leave the set too, or the set guards
+    # the oracles against a name no longer there
+    defined = set()
+    for path in Path(d2t_selftrain.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    assert _KERNELS <= defined, sorted(_KERNELS - defined)
 
 
 def test_kernel_references_are_found():

@@ -433,6 +433,7 @@ def _tamper_subset(monkeypatch, epoch, edit):
     monkeypatch.setattr(pipeline, "build_subset", tampered)
 
 
+@pytest.mark.hash_seeds
 class TestAuditTamperDetection:
     def _run_orchestrator(self, small_splits):
         orch = Orchestrator(make_config(small_splits, method=Method.SELF_MEM))
@@ -714,6 +715,7 @@ def _report_digest(report) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+@pytest.mark.hash_seeds
 class TestGoldenDigests:
     """Whole-report digests of one desk run, pinned so that a refactor of the
     gateway or the pipeline keeps reports byte-identical, in process and
@@ -785,6 +787,7 @@ def test_budget_detail_counts_reserve_top_ups():
     )
 
 
+@pytest.mark.hash_seeds
 def test_snapshot_golden_digest(tmp_path):
     # all three epochs close; loading the best D2T for the test split fails
     snap = tmp_path / "snapshot.json"
@@ -835,6 +838,7 @@ def test_a_failed_write_leaves_the_old_report_and_snapshot(small_splits, tmp_pat
     assert sorted(tmp_path.iterdir()) == sorted(before)
 
 
+@pytest.mark.hash_seeds
 def test_no_epoch_tuples_outlive_the_epoch(small_splits, monkeypatch):
     judged = []
 
@@ -851,6 +855,7 @@ def test_no_epoch_tuples_outlive_the_epoch(small_splits, monkeypatch):
     assert all(ref() is None for ref in judged)
 
 
+@pytest.mark.hash_seeds
 @pytest.mark.parametrize(
     "method, data_mode",
     [(Method.SELF_MEM_NEW_DATA_SELF_T2D, DataMode.FIXED), (Method.SELF_MEM, DataMode.RANDOM)],
@@ -872,6 +877,7 @@ def test_a_run_leaves_no_derived_forms_on_the_train_corpus(method, data_mode):
     assert any("record_keys" in ex.source.__dict__ for ex in splits[1].examples)
 
 
+@pytest.mark.hash_seeds
 def test_the_audit_rejudging_derives_no_record_keys_through_a_run(monkeypatch):
     keyed = 0
     record_key = records.record_key
@@ -902,6 +908,7 @@ def test_the_audit_rejudging_derives_no_record_keys_through_a_run(monkeypatch):
     assert all(first > 0 and again == 0 for first, again in rejudged)
 
 
+@pytest.mark.hash_seeds
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_selection_stats_are_the_sum_of_the_epochs(small_splits, method):
     report = Orchestrator(make_config(small_splits, method=method)).run()
@@ -946,6 +953,7 @@ class _FillerD2T(RuleServable):
         return [f"{y} {self.FILLER}" if i % 2 else y for i, y in enumerate(outputs)]
 
 
+@pytest.mark.hash_seeds
 def test_case2_selection_through_a_full_run(small_splits):
     def one_run():
         t2d = _GenerateRecorder(rule_handles(small_splits)[1].servable.model)

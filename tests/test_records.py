@@ -1,6 +1,7 @@
 """Record types: normalization, reserved separators, equality semantics."""
 
 import json
+import pickle
 
 import pytest
 
@@ -17,7 +18,8 @@ from d2t_selftrain import (
     VariantMismatchError,
     normalize_text,
 )
-from d2t_selftrain.records import json_default, record_key
+from d2t_selftrain.linearize import delinearize
+from d2t_selftrain.records import json_default, make_record, record_key
 
 
 def test_normalize_text_collapses_whitespace():
@@ -59,6 +61,23 @@ def test_record_set_enforces_kind():
         RecordSet((Triple("a", "b", "c"),), RecordKind.MR_SET)
     with pytest.raises(VariantMismatchError):
         RecordSet((Mr("a", "b"),), RecordKind.TRIPLESET)
+
+
+@pytest.mark.parametrize(
+    "kind, fields", [(RecordKind.TRIPLESET, ["a", "b", "c"]), (RecordKind.MR_SET, ["name", "X"])]
+)
+def test_built_and_parsed_records_are_slotted_and_alike(kind, fields):
+    # delinearize fills its records' slots past __init__; they must be the
+    # same values `make_record` builds
+    built = make_record(kind, fields)
+    (parsed,) = delinearize(" : ".join(fields), kind).record_set.records
+    for r in (built, parsed):
+        assert not hasattr(r, "__dict__")
+        assert type(r).__slots__ == type(r).__match_args__
+    assert type(parsed) is type(built)
+    assert parsed == built and hash(parsed) == hash(built)
+    assert pickle.dumps(parsed) == pickle.dumps(built)
+    assert pickle.loads(pickle.dumps(parsed)) == built
 
 
 def test_record_set_empty_is_representable():

@@ -151,6 +151,7 @@ def _check_against_value_in_text(x, text):
 _FOLD_ALPHABET = "aAsSßẞİi \t\n.!?"
 
 
+@pytest.mark.hypothesis_seeds
 @settings(max_examples=500, deadline=None)
 @given(
     # raw values, distinct under case-folding, unnormalized and empty ones too
@@ -179,6 +180,7 @@ def test_folded_value_checks_agree_with_value_in_text(values, text):
     _check_against_value_in_text(x, text)
 
 
+@pytest.mark.hypothesis_seeds
 @settings(max_examples=500, deadline=None)
 @given(
     fields=st.lists(st.text(_FOLD_ALPHABET, max_size=6), min_size=1, max_size=4),
