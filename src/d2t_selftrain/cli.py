@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .datasets import SplitName, load_dart, load_e2e, read_lines, synthetic_dataset
 from .errors import DatasetError, DelinearizeError, MetricError, PipelineError, RecordFieldError
@@ -107,6 +107,11 @@ def _report_warnings(split) -> None:
 
 
 def _cmd_run(args) -> int:
+    # a report or snapshot that cannot be written is refused before the run, not after it
+    for flag, path in (("--report", args.report), ("--resume", args.resume)):
+        if path is not None and not path.parent.is_dir():
+            print(f"error: {flag} {path}: {path.parent} is not a directory", file=sys.stderr)
+            return 1
     if args.dataset == "synthetic":
         if args.train or args.val or args.test:
             print("error: --train/--val/--test do not apply to synthetic", file=sys.stderr)
@@ -165,16 +170,24 @@ def _cmd_run(args) -> int:
     return 0 if report.audit["valid"] else EXIT_AUDIT_FAILED
 
 
-def _parse_lines(path: Path, parse) -> list:
-    """`parse` of each line of `path`; a line it refuses ends the command
-    with a DatasetError naming the file and the line."""
-    parsed = []
-    for k, line in enumerate(read_lines(path), 1):
+def _parse_lines(name, lines: Iterable[str], parse) -> Iterator:
+    """`parse` of each of `lines` as it comes; a line it refuses ends the
+    command with a DatasetError naming `name` and the line, counted from 1."""
+    for k, line in enumerate(lines, 1):
         try:
-            parsed.append(parse(line))
+            yield parse(line)
         except (PipelineError, ValueError) as exc:
-            raise DatasetError(f"{path} line {k}: {exc}") from exc
-    return parsed
+            raise DatasetError(f"{name} line {k}: {exc}") from exc
+
+
+def _print_stdin(convert) -> int:
+    """Print `convert` of each non-blank stdin line, without its end, as the
+    line arrives; a blank line is skipped but counted."""
+    lines = (line.removesuffix("\n").removesuffix("\r") for line in sys.stdin)
+    for out in _parse_lines("<stdin>", lines, lambda line: convert(line) if line.strip() else None):
+        if out is not None:
+            print(out)
+    return 0
 
 
 def _references(line: str) -> list[str]:
@@ -186,12 +199,14 @@ def _references(line: str) -> list[str]:
 
 def _cmd_eval(args) -> int:
     candidates = read_lines(args.hyp)
-    references = _parse_lines(args.refs, _references)
+    references = list(_parse_lines(args.refs, read_lines(args.refs), _references))
     kind = RecordKind(args.kind)
     sources = None
     reconstructions = None
     if args.sources:
-        sources = _parse_lines(args.sources, lambda line: delinearize(line, kind).record_set)
+        sources = list(
+            _parse_lines(args.sources, read_lines(args.sources), lambda line: delinearize(line, kind).record_set)
+        )
     if args.reconstructions:
         if sources is None:
             print("error: --reconstructions requires --sources", file=sys.stderr)
@@ -241,23 +256,19 @@ def _record_set_from_json(line: str) -> RecordSet:
 
 
 def _cmd_linearize() -> int:
-    for line in sys.stdin:
-        if not line.strip():
-            continue
-        print(linearize(_record_set_from_json(line)))
-    return 0
+    return _print_stdin(lambda line: linearize(_record_set_from_json(line)))
+
+
+def _delinearized_json(line: str, kind: RecordKind) -> str:
+    res = delinearize(line, kind)
+    out = res.record_set.to_dict()
+    out["dropped"] = res.dropped
+    return json.dumps(out, ensure_ascii=False)
 
 
 def _cmd_delinearize(args) -> int:
     kind = RecordKind(args.kind)
-    for line in sys.stdin:
-        if not line.strip():
-            continue
-        res = delinearize(line, kind)
-        out = res.record_set.to_dict()
-        out["dropped"] = res.dropped
-        print(json.dumps(out, ensure_ascii=False))
-    return 0
+    return _print_stdin(lambda line: _delinearized_json(line, kind))
 
 
 def main(argv: Optional[list[str]] = None) -> int:

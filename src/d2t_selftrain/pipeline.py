@@ -408,7 +408,6 @@ class Orchestrator:
                         gold,
                         tuples,
                         verdicts,
-                        target_size=len(gold),
                         seed=derive_seed(self.cfg.seed, f"subset-epoch{e}"),
                         reserve=self._reserve,
                         include_remaining=self.cfg.method.includes_new_data,

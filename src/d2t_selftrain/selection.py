@@ -5,9 +5,10 @@ characters, whitespace-normalized), still contains every source value (by
 `records.find_bounded`: case-folded and word-bounded, the rule the T2D model
 recovers values by), and its text-to-data reconstruction introduces no
 record absent from the source. Case 1 judges the raw generation y', Case 2
-judges the optimized target y'' whenever optimization changed it. Accepted
-pairs are mixed with the untouched gold pairs (optionally) and down-sampled
-or topped up to the fixed subset size.
+judges the optimized target y'' whenever optimization changed it. An
+epoch's subset is its block's pairs, in block order: each tuple's elite pair
+when accepted, else (optionally) its untouched gold pair; seeded top-ups from
+the reserve fill it to the block's size.
 
 All randomness flows from one run seed through named sub-seeds so every
 strategy is independently reproducible.
@@ -109,23 +110,21 @@ def build_subset(
     gold: Sequence[Example],
     tuples: Sequence[SelfMemTuple],
     verdicts: Sequence[SelectionVerdict],
-    target_size: int,
     seed: int,
     reserve: Sequence[Example],
     include_remaining: bool = True,
 ) -> list[Pair]:
-    """Assemble the self-training subset for one epoch.
+    """Assemble the self-training subset for the epoch whose block is `gold`.
 
     Accepted tuples contribute their elite pair; rejected ones contribute the
-    gold pair when `include_remaining` (the "new data" regimes). The union is
-    deduplicated on (source_text, target_text), down-sampled uniformly when it
-    exceeds `target_size`, and topped up from `reserve` in seeded order when
-    it falls short.
+    gold pair when `include_remaining` (the "new data" regimes). The block's
+    pairs come first, in block order and deduplicated on (source_text,
+    target_text): each tuple adds at most one, so the subset never exceeds
+    the block. Pairs from `reserve`, in seeded order and skipping those
+    already held, then top it up to the block's size while the reserve lasts.
     """
     if len(gold) != len(tuples) or len(gold) != len(verdicts):
         raise ValueError("gold, tuples and verdicts must be aligned index-wise")
-    if target_size < 1:
-        raise ValueError("target_size must be at least 1")
 
     union: list[Pair] = []
     seen: set[tuple[str, str]] = set()
@@ -140,12 +139,7 @@ def build_subset(
             seen.add(pair.key())
             union.append(pair)
 
-    if len(union) > target_size:
-        rng = random.Random(seed)
-        chosen = sorted(rng.sample(range(len(union)), target_size))
-        return [union[i] for i in chosen]
-
-    if len(union) < target_size and reserve:
+    if len(union) < len(gold) and reserve:
         rng = random.Random(derive_seed(seed, "top-up"))
         order = list(range(len(reserve)))
         rng.shuffle(order)
@@ -156,7 +150,7 @@ def build_subset(
                 continue
             seen.add(pair.key())
             union.append(pair)
-            if len(union) == target_size:
+            if len(union) == len(gold):
                 break
 
     if not union:
@@ -179,7 +173,7 @@ class SubsetPlan:
 
     @property
     def block_size(self) -> int:
-        return len(self.epoch_indices[0]) if self.epoch_indices else 0
+        return len(self.epoch_indices[0])
 
     def used_indices(self) -> set[int]:
         return {i for block in self.epoch_indices for i in block}

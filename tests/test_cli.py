@@ -4,11 +4,16 @@ import csv
 import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import d2t_selftrain
 from conftest import DART_SOURCE, DART_TARGET
 from d2t_selftrain import ModelServer, RuleBasedD2T, RuleBasedT2D, RuleServable, synthetic_dataset
 from d2t_selftrain import pipeline
@@ -114,7 +119,15 @@ class TestLinearizeCommand:
     def test_nesting_too_deep_is_a_malformed_line(self, monkeypatch, capsys):
         _feed_stdin(monkeypatch, "[" * 100_000 + "]" * 100_000 + "\n")
         assert main(["linearize"]) == 1
-        assert capsys.readouterr().err.startswith("error: JSON nested too deeply")
+        assert capsys.readouterr().err.startswith("error: <stdin> line 1: JSON nested too deeply")
+
+    def test_a_refused_line_is_named_after_the_lines_before_it(self, monkeypatch, capsys):
+        _feed_stdin(monkeypatch, '[["a","p","b"]]\n\nnot json\n[["c","q","d"]]\n')
+        assert main(["linearize"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "a : p : b\n"
+        # the blank line counts: line 3 is the one an editor shows
+        assert captured.err == "error: <stdin> line 3: Expecting value: line 1 column 1 (char 0)\n"
 
     @pytest.mark.parametrize(
         "line",
@@ -162,6 +175,13 @@ class TestDelinearizeCommand:
         _feed_stdin(monkeypatch, "no separators here\n")
         assert main(["delinearize"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_a_refused_line_is_named_after_the_lines_before_it(self, monkeypatch, capsys):
+        _feed_stdin(monkeypatch, "A : P : B\n\njunk\r\nC : Q : D\n")
+        assert main(["delinearize"]) == 1
+        captured = capsys.readouterr()
+        assert [json.loads(line)["records"] for line in captured.out.splitlines()] == [[["A", "P", "B"]]]
+        assert captured.err == "error: <stdin> line 3: no parseable tripleset segment in 'junk' (1 dropped)\n"
 
 
 class TestOptimizeCommand:
@@ -565,6 +585,19 @@ class TestRunCommand:
         assert data["epoch"] == -1
         assert data["config"]["method"] == "self-mem"
 
+    @pytest.mark.parametrize("flag", ["--report", "--resume"])
+    def test_a_path_in_no_directory_is_refused_before_the_run(self, tmp_path, monkeypatch, capsys, flag):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("d2t_selftrain.cli.synthetic_dataset", unreachable)
+        monkeypatch.setattr(pipeline, "train_batch", unreachable)
+        path = tmp_path / "missing" / "x.json"
+        argv = ["run", "--dataset", "synthetic", "--method", "self-mem", "--report", str(tmp_path / "r.json")]
+        assert main(argv + [flag, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} {path}: {path.parent} is not a directory\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_bad_endpoint_flag(self, capsys):
         rc = main(
             [
@@ -589,3 +622,13 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc_info:
             main([])
         assert exc_info.value.code == 2
+
+
+def test_module_entry_point_exits_with_the_commands_code():
+    src = str(Path(d2t_selftrain.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-m", "d2t_selftrain.cli", "optimize", "--source", "junk", "--target", "x"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: no parseable tripleset segment in 'junk'")

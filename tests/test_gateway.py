@@ -961,6 +961,33 @@ def test_remote_servable_keeps_connection_after_refusal():
     assert srv.requests == [(0, 1), (0, 2)]
 
 
+class _CloseRaises:
+    """A stream whose close() closes the stream it wraps, then raises."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def close(self):
+        self.stream.close()
+        raise OSError("close failed")
+
+
+def test_remote_servable_close_goes_on_past_a_stream_that_fails_to_close():
+    with _ScriptedServer(["ok", "ok"]) as srv:
+        remote = RemoteServable(srv.endpoint)
+        try:
+            assert remote.generate(["first"], MAX_LEN, MIN_LEN) == ["first"]
+            reader, sock = remote._reader, remote._sock
+            remote._writer = _CloseRaises(remote._writer)
+            remote.close()
+            assert reader.closed and sock.fileno() == -1
+            assert remote._sock is None
+            assert remote.generate(["second"], MAX_LEN, MIN_LEN) == ["second"]
+        finally:
+            remote.close()
+    assert srv.requests == [(0, 1), (1, 1)]
+
+
 def test_remote_servable_refuses_a_boolean_loss():
     # JSON true is not a loss, though Python's float(True) == 1.0
     with _ScriptedServer(["bool-loss", "ok"]) as srv:

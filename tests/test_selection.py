@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from d2t_selftrain import (
     AllocationError,
@@ -13,6 +14,7 @@ from d2t_selftrain import (
     EmptySubsetError,
     Example,
     Origin,
+    Pair,
     RecordKind,
     RecordSet,
     SelfMemTuple,
@@ -25,7 +27,7 @@ from d2t_selftrain import (
     linearize,
 )
 from d2t_selftrain.records import json_default
-from d2t_selftrain.selection import block_size
+from d2t_selftrain.selection import SelectionVerdict, block_size
 
 X = RecordSet((Triple("A", "P", "B"),), RecordKind.TRIPLESET)
 Y = "A is related to B somehow."
@@ -157,7 +159,7 @@ def test_build_subset_mixes_elite_and_remaining():
         t, v = accepted_tuple(ex) if i < 4 else rejected_tuple(ex)
         tuples.append(t)
         verdicts.append(v)
-    subset = build_subset(gold, tuples, verdicts, 10, seed=1, reserve=[])
+    subset = build_subset(gold, tuples, verdicts, seed=1, reserve=[])
     assert len(subset) == 10
     origins = [p.origin for p in subset]
     assert origins.count(Origin.SELF_MEMORY_Y_PRIME) == 4
@@ -171,7 +173,7 @@ def test_build_subset_no_acceptances_returns_gold():
     gold = [make_example(i) for i in range(10)]
     pairs = [rejected_tuple(ex) for ex in gold]
     subset = build_subset(
-        gold, [t for t, _ in pairs], [v for _, v in pairs], 10, seed=1, reserve=[]
+        gold, [t for t, _ in pairs], [v for _, v in pairs], seed=1, reserve=[]
     )
     assert [(p.source_text, p.target_text) for p in subset] == [
         (ex.source_text, ex.target) for ex in gold
@@ -185,27 +187,13 @@ def test_build_subset_dedupes_on_source_and_target():
     v = judge_pair(t)
     assert v.accepted
     rt, rv = rejected_tuple(ex)
-    subset = build_subset([ex, ex], [t, rt], [v, rv], 2, seed=3, reserve=[make_example(1)])
+    subset = build_subset([ex, ex], [t, rt], [v, rv], seed=3, reserve=[make_example(1)])
     keys = [p.key() for p in subset]
     assert len(keys) == len(set(keys)) == 2
 
 
-def test_build_subset_downsamples_with_seed():
-    gold = [make_example(i) for i in range(10)]
-    pairs = [rejected_tuple(ex) for ex in gold]
-    args = (gold, [t for t, _ in pairs], [v for _, v in pairs])
-    a = build_subset(*args, 5, seed=7, reserve=[])
-    b = build_subset(*args, 5, seed=7, reserve=[])
-    assert a == b
-    assert len(a) == 5
-    # down-sampling preserves the union order
-    all_keys = [(ex.source_text, ex.target) for ex in gold]
-    positions = [all_keys.index(p.key()) for p in a]
-    assert positions == sorted(positions)
-
-
 def test_build_subset_tops_up_from_reserve():
-    gold = [make_example(i) for i in range(4)]
+    gold = [make_example(i) for i in range(6)]
     tuples, verdicts = [], []
     for i, ex in enumerate(gold):
         t, v = accepted_tuple(ex) if i < 2 else rejected_tuple(ex)
@@ -213,7 +201,7 @@ def test_build_subset_tops_up_from_reserve():
         verdicts.append(v)
     reserve = [make_example(i) for i in range(100, 110)]
     subset = build_subset(
-        gold, tuples, verdicts, 6, seed=5, reserve=reserve, include_remaining=False
+        gold, tuples, verdicts, seed=5, reserve=reserve, include_remaining=False
     )
     assert len(subset) == 6
     origins = [p.origin for p in subset]
@@ -224,9 +212,10 @@ def test_build_subset_tops_up_from_reserve():
 
 
 def test_build_subset_top_up_skips_reserve_pairs_already_held():
-    gold = [make_example(0)]
+    # a block of three copies of one example holds one pair
+    gold = [make_example(0)] * 3
     t, v = rejected_tuple(gold[0])
-    subset = build_subset(gold, [t], [v], 3, seed=1, reserve=[make_example(0), make_example(1)])
+    subset = build_subset(gold, [t] * 3, [v] * 3, seed=1, reserve=[make_example(0), make_example(1)])
     assert [(p.key(), p.origin) for p in subset] == [
         ((gold[0].source_text, gold[0].target), Origin.REMAINING),
         ((make_example(1).source_text, make_example(1).target), Origin.GOLD),
@@ -234,26 +223,85 @@ def test_build_subset_top_up_skips_reserve_pairs_already_held():
 
 
 def test_build_subset_reserve_exhaustion_is_not_an_error():
-    gold = [make_example(0)]
+    gold = [make_example(0)] * 5
     t, v = accepted_tuple(gold[0])
-    subset = build_subset(gold, [t], [v], 5, seed=1, reserve=[make_example(1)])
-    assert len(subset) == 2  # best effort below target_size
+    subset = build_subset(gold, [t] * 5, [v] * 5, seed=1, reserve=[make_example(1)])
+    assert len(subset) == 2  # best effort below the block's size
 
 
 def test_build_subset_empty_everything_raises():
-    gold = [make_example(0)]
+    gold = [make_example(0)] * 3
     t, v = rejected_tuple(gold[0])
     with pytest.raises(EmptySubsetError):
-        build_subset(gold, [t], [v], 3, seed=1, reserve=[], include_remaining=False)
+        build_subset(gold, [t] * 3, [v] * 3, seed=1, reserve=[], include_remaining=False)
 
 
 def test_build_subset_validates_arguments():
     gold = [make_example(0)]
     t, v = rejected_tuple(gold[0])
     with pytest.raises(ValueError):
-        build_subset(gold, [], [v], 3, seed=1, reserve=[])
-    with pytest.raises(ValueError):
-        build_subset(gold, [t], [v], 0, seed=1, reserve=[])
+        build_subset(gold, [], [v], seed=1, reserve=[])
+
+
+# One block slot: its example (ids 0-3, so a block may repeat one) and its
+# verdict. An "echo" is an accepted generation equal to the gold target, so
+# its elite pair is the slot's remaining pair.
+_slots = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from(["case1", "case2", "echo", "rejected"])),
+    min_size=1,
+    max_size=8,
+)
+
+
+@pytest.mark.hypothesis_seeds
+@settings(max_examples=200)
+@given(
+    slots=_slots,
+    reserve_ids=st.lists(st.integers(0, 7), max_size=8),  # ids 0-3 are the block's keys
+    include_remaining=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_build_subset_is_the_blocks_pairs_then_top_ups(slots, reserve_ids, include_remaining, seed):
+    gold, tuples, verdicts = [], [], []
+    expected, held = [], set()
+    for k, (i, kind) in enumerate(slots):
+        ex = make_example(i)
+        y_prime = ex.target if kind == "echo" else f"S{i} p O{i}."
+        y_dprime = f"S{i} q O{i}." if kind == "case2" else None
+        gold.append(ex)
+        tuples.append(SelfMemTuple(ex.source, ex.target, y_prime, ex.source, y_dprime, ex.source))
+        case = CaseId.CASE2 if kind == "case2" else CaseId.CASE1
+        verdicts.append(SelectionVerdict(kind != "rejected", case, ()))
+        if kind == "rejected":
+            if not include_remaining:
+                continue
+            pair = Pair(ex.source_text, ex.target, Origin.REMAINING)
+        elif kind == "case2":
+            pair = Pair(ex.source_text, y_dprime, Origin.SELF_MEMORY_Y_DPRIME, k)
+        else:
+            pair = Pair(ex.source_text, y_prime, Origin.SELF_MEMORY_Y_PRIME, k)
+        if pair.key() not in held:
+            held.add(pair.key())
+            expected.append(pair)
+    reserve = [make_example(j) for j in reserve_ids]
+    fresh = {(ex.source_text, ex.target) for ex in reserve} - held
+    args = (gold, tuples, verdicts)
+    kwargs = dict(seed=seed, reserve=reserve, include_remaining=include_remaining)
+    if not expected and not fresh:
+        with pytest.raises(EmptySubsetError):
+            build_subset(*args, **kwargs)
+        return
+
+    subset = build_subset(*args, **kwargs)
+    assert len(subset) <= len(gold)
+    block = subset[: len(expected)]
+    assert [(p, p.tuple_index) for p in block] == [(p, p.tuple_index) for p in expected]
+    top_ups = subset[len(expected) :]
+    assert all(p.origin is Origin.GOLD for p in top_ups)
+    keys = [p.key() for p in top_ups]
+    assert len(set(keys)) == len(keys) and set(keys) <= fresh
+    # the reserve fills the block, or gives every key the block lacks
+    assert len(top_ups) == min(len(gold) - len(expected), len(fresh))
 
 
 # ---------------------------------------------------------------- allocation
