@@ -109,8 +109,9 @@ def _report_warnings(split) -> None:
 def _cmd_run(args) -> int:
     # a report or snapshot that cannot be written is refused before the run, not after it
     for flag, path in (("--report", args.report), ("--resume", args.resume)):
-        if path is not None and not path.parent.is_dir():
-            print(f"error: {flag} {path}: {path.parent} is not a directory", file=sys.stderr)
+        if path is not None and (path.is_dir() or not path.parent.is_dir()):
+            problem = "it is a directory" if path.is_dir() else f"{path.parent} is not a directory"
+            print(f"error: {flag} {path}: {problem}", file=sys.stderr)
             return 1
     if args.dataset == "synthetic":
         if args.train or args.val or args.test:
@@ -162,8 +163,7 @@ def _cmd_run(args) -> int:
     m = report.final_metrics
     print(
         f"{args.method}: BLEU {m.bleu:.4f} METEOR {m.meteor:.4f} TER {m.ter:.4f}"
-        + (f" EPM {m.epm:.4f}" if m.epm is not None else "")
-        + (f" OSF-F1 {m.osf.f1:.4f}" if m.osf is not None else "")
+        f" EPM {m.epm:.4f} OSF-F1 {m.osf.f1:.4f}"
         + f" | audit {'ok' if report.audit['valid'] else 'FAILED'}"
         + f" | report {args.report}"
     )

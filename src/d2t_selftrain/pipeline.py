@@ -4,9 +4,10 @@ One run proceeds as: initial supervised training of the data-to-text and
 text-to-data models on a seed subset (the swap trains the inverse model),
 then per epoch: draw the epoch subset, infer targets y' and reconstructions
 x', greedily optimize y' into y'' (re-inferring x'' only where the target
-actually changed), judge every tuple, assemble a new training subset of the
-step-1 size, self-train, and checkpoint on validation METEOR (D2T) or
-validation slot-filling precision (T2D) under a strict-improvement rule.
+actually changed), judge every tuple, assemble the training subset from the
+block's pairs and reserve top-ups while the reserve lasts, self-train, and
+checkpoint on validation METEOR (D2T) or validation slot-filling precision
+(T2D) under a strict-improvement rule.
 Baseline methods without self-memory skip inference and train on the raw
 subset; every method shares the validation and checkpoint path. Each epoch is
 summarised, counted and audited as it ends into the run's `RunState`, and its
@@ -321,13 +322,20 @@ class Orchestrator:
         finally:
             self.state.timing[key] = self.state.timing.get(key, 0.0) + time.perf_counter() - t0
 
-    def _parse_records(self, text: str) -> RecordSet:
-        """Interpret T2D output; anything unparseable, a blank text too, is an
-        empty set, which downstream judging treats as a failed reconstruction."""
-        try:
-            return delinearize(text, self.kind).record_set
-        except DelinearizeError:
-            return RecordSet.empty(self.kind)
+    def _reconstruct(self, texts: Sequence[str]) -> list[RecordSet]:
+        """The T2D model's reading of each text back into data, from one batch
+        call (none for no texts). Each answer is delinearized as the run's
+        record kind; an answer that does not parse, a blank one too, is the
+        empty set, which judging treats as a failed reconstruction."""
+        if not texts:
+            return []
+        sets = []
+        for out in generate_batch(self.cfg.t2d, texts):
+            try:
+                sets.append(delinearize(out, self.kind).record_set)
+            except DelinearizeError:
+                sets.append(RecordSet.empty(self.kind))
+        return sets
 
     def _bootstrap_indices(self) -> tuple[int, ...]:
         # fixed modes reuse the first epoch block so the data budget of the
@@ -350,47 +358,28 @@ class Orchestrator:
         # optimizing, judging and the audit derive on it go with the epoch's
         # tuples instead of staying on the corpus. Equal fields, equal JSON.
         x = [RecordSet(ex.source.records, ex.source.kind) for ex in gold]
-        sources = [ex.source_text for ex in gold]
         with self._timed("step2-infer-y-prime"):
-            raw = generate_batch(self.cfg.d2t, sources)
-        y_prime: list[Optional[str]] = [y if y.strip() else None for y in raw]
-
-        present = [i for i, y in enumerate(y_prime) if y is not None]
-        x_prime: list[Optional[RecordSet]] = [None] * len(gold)
+            y_prime = generate_batch(self.cfg.d2t, [ex.source_text for ex in gold])
+        # the rest works on the present answers only, position k for gold[present[k]]
+        present = [i for i, y in enumerate(y_prime) if y.strip()]
         with self._timed("step3-infer-x-prime"):
-            if present:
-                outs = generate_batch(self.cfg.t2d, [y_prime[i] for i in present])
-                for i, out in zip(present, outs):
-                    x_prime[i] = self._parse_records(out)
-
-        y_dprime: list[Optional[str]] = [None] * len(gold)
-        x_dprime: list[Optional[RecordSet]] = [None] * len(gold)
-        changed: list[int] = []
+            x_prime = self._reconstruct([y_prime[i] for i in present])
+        y_dprime, changed = [], []
         with self._timed("step4-optimize"):
-            for i in present:
+            for k, i in enumerate(present):
                 outcome = optimize_target(x[i], y_prime[i])
-                y_dprime[i] = outcome.optimized
+                y_dprime.append(outcome.optimized)
                 if outcome.changed:
-                    changed.append(i)
-                else:
-                    x_dprime[i] = x_prime[i]
+                    changed.append(k)
+        x_dprime = list(x_prime)
         with self._timed("step4-infer-x-dprime"):
-            if changed:
-                outs = generate_batch(self.cfg.t2d, [y_dprime[i] for i in changed])
-                for i, out in zip(changed, outs):
-                    x_dprime[i] = self._parse_records(out)
-
-        return tuple(
-            SelfMemTuple(
-                x=x[i],
-                y=ex.target,
-                y_prime=y_prime[i],
-                x_prime=x_prime[i],
-                y_dprime=y_dprime[i],
-                x_dprime=x_dprime[i],
-            )
-            for i, ex in enumerate(gold)
-        )
+            for k, rs in zip(changed, self._reconstruct([y_dprime[k] for k in changed])):
+                x_dprime[k] = rs
+        inferred = {
+            i: SelfMemTuple(x[i], gold[i].target, y_prime[i], xp, yd, xd)
+            for i, xp, yd, xd in zip(present, x_prime, y_dprime, x_dprime)
+        }
+        return tuple(inferred[i] if i in inferred else SelfMemTuple(x[i], ex.target) for i, ex in enumerate(gold))
 
     def run_epoch(self, e: int) -> EpochTrace:
         """Steps 1-6 for epoch index e (0-based); returns the trace without
@@ -440,11 +429,8 @@ class Orchestrator:
         val = self.cfg.val.examples
         d2t_out = generate_batch(self.cfg.d2t, [ex.source_text for ex in val])
         val_meteor = fmean(meteor(out, [ex.target]) for out, ex in zip(d2t_out, val))
-        t2d_out = generate_batch(self.cfg.t2d, [ex.target for ex in val])
-        val_osf_p = fmean(
-            osf(ex.source, self._parse_records(out)).precision
-            for out, ex in zip(t2d_out, val)
-        )
+        recon = self._reconstruct([ex.target for ex in val])
+        val_osf_p = fmean(osf(ex.source, rs).precision for rs, ex in zip(recon, val))
         return val_meteor, val_osf_p
 
     def select_checkpoint(self, trace: EpochTrace) -> EpochTrace:
@@ -475,12 +461,11 @@ class Orchestrator:
             checkpoint(self.cfg.t2d, CheckpointAction.LOAD, best["t2d_tag"])
         test = self.cfg.test.examples
         outputs = generate_batch(self.cfg.d2t, [ex.source_text for ex in test])
-        recon_raw = generate_batch(self.cfg.t2d, outputs)
         return evaluate_corpus(
             outputs,
             [[ex.target] for ex in test],
             sources=[ex.source for ex in test],
-            reconstructions=[self._parse_records(r) for r in recon_raw],
+            reconstructions=self._reconstruct(outputs),
         )
 
     def _close_epoch(self, trace: EpochTrace) -> None:

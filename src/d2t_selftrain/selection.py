@@ -201,8 +201,6 @@ def allocate(
         raise AllocationError(f"ratio must be in (0, 1], got {ratio}")
     if epochs < 1:
         raise AllocationError("epochs must be at least 1")
-    if n_examples < epochs:
-        raise AllocationError(f"{n_examples} examples cannot serve {epochs} epochs")
     k = block_size(n_examples, ratio)
     if k < 1:
         raise AllocationError(f"ratio {ratio} of {n_examples} examples is an empty block")

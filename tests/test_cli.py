@@ -488,6 +488,21 @@ class TestRunCommand:
             "test": 2,
         }
 
+    def test_repeated_plan_runs_more_epochs_than_examples(self, tmp_path, capsys):
+        # a repeated block of both examples serves any number of epochs
+        paths = {}
+        for name, n in (("train", 2), ("val", 1), ("test", 2)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps([DART_ENTRY] * n), encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        argv = ["run", "--dataset", "dart", "--method", "no-self-mem-2", "--ratio", "1", "--epochs", "3"]
+        for name, path in paths.items():
+            argv += [f"--{name}", str(path)]
+        assert main(argv + ["--report", str(report_path)]) == 0
+        assert "audit ok" in capsys.readouterr().out
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert [e["subset_size"] for e in report["epochs"]] == [2, 2, 2]
+
     # exit code and failing audit checks per method on the `e2e_files`
     # corpus: without new data, a self-memory subset comes out short
     @pytest.mark.hash_seeds
@@ -597,6 +612,21 @@ class TestRunCommand:
         assert main(argv + [flag, str(path)]) == 1
         assert capsys.readouterr().err == f"error: {flag} {path}: {path.parent} is not a directory\n"
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--report", "--resume"])
+    def test_a_directory_is_refused_before_the_run(self, tmp_path, monkeypatch, capsys, flag):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("d2t_selftrain.cli.synthetic_dataset", unreachable)
+        monkeypatch.setattr(pipeline, "train_batch", unreachable)
+        path = tmp_path / "out"
+        path.mkdir()
+        argv = ["run", "--dataset", "synthetic", "--method", "self-mem", "--report", str(tmp_path / "r.json")]
+        assert main(argv + [flag, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} {path}: it is a directory\n"
+        assert not (tmp_path / "r.json").exists()
+        assert not any(path.iterdir())
 
     def test_bad_endpoint_flag(self, capsys):
         rc = main(

@@ -985,6 +985,92 @@ def test_case2_selection_through_a_full_run(small_splits):
     assert _report_digest(one_run()[0]) == _report_digest(report)
 
 
+class _BlankD2T(RuleServable):
+    """Rule D2T servable that answers a blank text for every third source of
+    a batch and keeps each batch of answers it gives."""
+
+    def __init__(self):
+        super().__init__(RuleBasedD2T())
+        self.answers = []
+
+    def generate(self, inputs, max_len, min_len):
+        outputs = super().generate(inputs, max_len, min_len)
+        self.answers.append(["" if i % 3 == 2 else y for i, y in enumerate(outputs)])
+        return self.answers[-1]
+
+
+class _JunkT2D(_GenerateRecorder):
+    """Recording rule T2D servable that answers a text holding no separator,
+    which no record-set variant parses, for every other text of a batch."""
+
+    JUNK = "no separators here"
+
+    def generate(self, inputs, max_len, min_len):
+        outputs = super().generate(inputs, max_len, min_len)
+        return [self.JUNK if i % 2 else x for i, x in enumerate(outputs)]
+
+
+@pytest.mark.hash_seeds
+def test_failed_model_answers_through_a_full_run(small_splits, monkeypatch):
+    judged = []
+    real_judge = pipeline.judge_pair
+
+    def spy(tup):
+        judged.append((tup, real_judge(tup)))
+        return judged[-1][1]
+
+    monkeypatch.setattr(pipeline, "judge_pair", spy)
+
+    def one_run():
+        d2t = _BlankD2T()
+        t2d = _JunkT2D(rule_handles(small_splits)[1].servable.model)
+        cfg = replace(
+            make_config(small_splits, method=Method.SELF_MEM_NEW_DATA),
+            d2t=ModelHandle(Direction.D2T, d2t),
+            t2d=ModelHandle(Direction.T2D, t2d),
+        )
+        return Orchestrator(cfg).run(), d2t.answers, t2d.batches
+
+    report, answers, batches = one_run()
+    assert report.audit["valid"]
+    # a blank answer is rejected with no case and keeps only x and y; a
+    # junk reconstruction is the empty set and fails the subset condition
+    blank = [(t, v) for t, v in judged if t.y_prime is None]
+    assert len(blank) == 3 * 4
+    for tup, verdict in blank:
+        assert (tup.x_prime, tup.y_dprime, tup.x_dprime) == (None, None, None)
+        assert not verdict.accepted and verdict.case_id is selection.CaseId.NONE
+    junk = [(t, v) for t, v in judged if t.x_prime is not None and t.x_prime.is_empty]
+    assert len(junk) == 3 * 4
+    for tup, verdict in junk:
+        assert selection.Condition.NOT_SUBSET_OF_SOURCE in verdict.failed_conditions
+    stats = report.selection_stats
+    assert (stats["accepted_case1"], stats["accepted_case2"], stats["rejected"]) == (12, 0, 24)
+    assert stats["failed_conditions"] == {
+        "len-not-shorter": 0,
+        "missing-source-value": 12,
+        "not-subset-of-source": 12,
+    }
+    assert stats["subset_origins"] == {
+        "gold": 0,
+        "self-memory-y-prime": 12,
+        "self-memory-y-double-prime": 0,
+        "remaining": 24,
+    }
+    # per epoch the D2T answers y' then the validation sources; the T2D reads
+    # x' for the non-blank answers only, then the validation targets
+    assert len(answers) == len(batches) == 3 * 2 + 1
+    for e in range(3):
+        assert batches[2 * e] == [y for y in answers[2 * e] if y]
+        assert len(batches[2 * e]) == 8
+    assert [s["val_osf_precision_t2d"] for s in report.epoch_summaries] == [0.5] * 3
+    # the test split's 8 texts, blanks included, go to the T2D: 3 read back
+    osf_score = report.final_metrics.osf
+    assert (osf_score.precision, osf_score.recall, osf_score.f1) == (0.375, 0.375, 0.375)
+    assert _report_digest(report) == "1e11031abcf82d06881369de41cb180adcb4a57622c10af9f8a37c50f26efcbc"
+    assert _report_digest(one_run()[0]) == _report_digest(report)
+
+
 def test_decode_limits_on_the_wire_match_the_report():
     splits = synthetic_dataset(30, 6, 6)
     train, val, test = splits

@@ -358,6 +358,13 @@ def test_allocate_rejects_infeasible_plans(n, strategy, ratio, epochs):
         allocate(n, strategy, ratio, epochs, seed=1)
 
 
+@pytest.mark.parametrize("strategy", [Strategy.FIXED_REPEATED, Strategy.RANDOM_PER_EPOCH])
+def test_allocate_serves_more_epochs_than_examples_where_blocks_may_repeat(strategy):
+    plan = allocate(2, strategy, 1.0, 3, seed=0)
+    assert len(plan.epoch_indices) == 3
+    assert all(sorted(block) == [0, 1] for block in plan.epoch_indices)
+
+
 def test_block_size_is_float_dust_proof():
     assert block_size(100, 0.29) == 29
     assert block_size(1000, 0.3) == 300
