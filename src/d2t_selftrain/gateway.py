@@ -37,9 +37,24 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import BinaryIO, NamedTuple, Optional, Sequence, Union
 
-from .errors import DelinearizeError, GatewayError
-from .linearize import delinearize, render_records
-from .records import _TOKEN, Record, RecordKind, RecordSet, find_bounded, fold, has_lone_surrogate
+from .errors import GatewayError
+# delinearize is not called here: perfbench/tracing.py patches it where it traces
+from .linearize import delinearize, render_records  # noqa: F401
+from .records import (
+    _SEGMENT_HEADS,
+    _SEGMENT_TAILS,
+    _TOKEN,
+    FIELD_SEP,
+    RECORD_SEP,
+    SUBJECT_KEY,
+    Record,
+    RecordKind,
+    RecordSet,
+    find_bounded,
+    fold,
+    has_lone_surrogate,
+    normalize_text,
+)
 
 
 class Direction(enum.Enum):
@@ -72,22 +87,6 @@ def _phrase(field_name: str) -> str:
     return field_name.lower().replace("_", " ")
 
 
-def infer_record_set(text: str) -> Optional[RecordSet]:
-    """Parse a linearized string whose variant is unknown, preferring the
-    interpretation that drops fewer segments (tripleset on ties)."""
-    best = None
-    for kind in (RecordKind.TRIPLESET, RecordKind.MR_SET):
-        try:
-            res = delinearize(text, kind)
-        except DelinearizeError:
-            continue
-        if best is None or res.dropped < best.dropped:
-            best = res
-        if best.dropped == 0:
-            break  # a later parse can only tie, and ties go to the earlier
-    return None if best is None else best.record_set
-
-
 class RuleBasedD2T:
     """Deterministic template renderer standing in for a D2T model.
 
@@ -95,23 +94,33 @@ class RuleBasedD2T:
     for triples, "<name value> <key phrase> <value>." for MR pairs (the
     subject pair, keyed `records.SUBJECT_KEY`, supplies the subject, if any,
     and is rendered on its own, "<name value>.", only when no other pair is).
+
+    The source is read once, as `delinearize` would read it but with no
+    variant given and no record built: each segment of its `normalize_text`
+    form split at RECORD_SEP is dropped if a field would border on a
+    separator (it starts with "| " or ": ", ends with " |" or " :", or holds
+    " : : "), and otherwise its FIELD_SEP field count makes it a triple (3),
+    an MR pair (2) or a drop (any other). The variant with more valid
+    segments is rendered, the tripleset on ties; with none the answer is "".
     """
 
     def generate(self, source_text: str) -> str:
-        rs = infer_record_set(source_text)
-        if rs is None:
-            return ""
-        if rs.kind is RecordKind.TRIPLESET:
-            sentences = [
-                f"{t.subject} {_phrase(t.predicate)} {t.object}." for t in rs.records
-            ]
-        else:
-            name = next((m.value for m in rs.records if m.is_subject), None)
-            lead = "" if name is None else f"{name} "
-            sentences = [
-                f"{lead}{_phrase(m.key)} {m.value}." for m in rs.records if not m.is_subject
-            ] or [f"{name}."]
-        return " ".join(sentences)
+        triples: list[list[str]] = []
+        pairs: list[list[str]] = []
+        for seg in normalize_text(source_text).split(RECORD_SEP):
+            if seg.startswith(_SEGMENT_HEADS) or seg.endswith(_SEGMENT_TAILS) or " : : " in seg:
+                continue
+            fields = seg.split(FIELD_SEP)
+            if len(fields) == 3:
+                triples.append(fields)
+            elif len(fields) == 2:
+                pairs.append(fields)
+        if len(triples) >= len(pairs):
+            return " ".join([f"{s} {_phrase(p)} {o}." for s, p, o in triples])
+        name = next((v for k, v in pairs if k.casefold() == SUBJECT_KEY), None)
+        lead = "" if name is None else f"{name} "
+        sentences = [f"{lead}{_phrase(k)} {v}." for k, v in pairs if k.casefold() != SUBJECT_KEY]
+        return " ".join(sentences or [f"{name}."])
 
 
 class _CatalogEntry(NamedTuple):

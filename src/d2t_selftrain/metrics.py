@@ -223,18 +223,22 @@ def _meteor_single(ct: Sequence[str], rt: Sequence[str]) -> float:
         return 0.0
     cand_match: list[Optional[int]] = [None] * len(ct)
     ref_used = [False] * len(rt)
-    # exact stage first, then the stem stage on whatever is left
+    # exact stage first, then the stem stage on whatever is left: each
+    # candidate token in turn takes the first free reference position with
+    # its key, popped from that key's free positions, kept in descending order
     for key in (lambda w: w, stem):
-        rkeys = [key(w) for w in rt]
+        free: dict[str, list[int]] = {}
+        for j in reversed(range(len(rt))):
+            if not ref_used[j]:
+                free.setdefault(key(rt[j]), []).append(j)
+        if not free:
+            break
         for i, word in enumerate(ct):
-            if cand_match[i] is not None:
-                continue
-            k = key(word)
-            for j, rk in enumerate(rkeys):
-                if not ref_used[j] and rk == k:
-                    cand_match[i] = j
+            if cand_match[i] is None:
+                slots = free.get(key(word))
+                if slots:
+                    j = cand_match[i] = slots.pop()
                     ref_used[j] = True
-                    break
     pairs = [(i, j) for i, j in enumerate(cand_match) if j is not None]
     matches = len(pairs)
     if matches == 0:

@@ -2,7 +2,9 @@
 
 Each function here is the plainest form of what a kernel in `src/` computes,
 and is named after it; `edit_distance` checks `metrics._advance` and
-`metrics._lane_distances`, `t2d_generate` checks `RuleBasedT2D.generate`,
+`metrics._lane_distances`, `meteor_single` checks `metrics._meteor_single`,
+`t2d_generate` checks `RuleBasedT2D.generate`, `rule_d2t_generate`
+checks `RuleBasedD2T.generate` by rendering what `infer_record_set` parses,
 `delinearize` re-normalises every field through the checked record
 constructors and so checks the trusted segment path `linearize.delinearize`
 builds records on (`records._record_from_segment`), `source_values` and
@@ -36,9 +38,9 @@ from d2t_selftrain import (
     render_records,
     split_sentences,
 )
-from d2t_selftrain.metrics import _meteor_single
 from d2t_selftrain.optimize import OptimizationOutcome
 from d2t_selftrain.records import FIELD_SEP, RECORD_SEP, Record, normalize_text, record_key
+from d2t_selftrain.stemming import stem
 
 # ---------------------------------------------------------------- edit distance, LCS
 
@@ -281,9 +283,41 @@ def cider(candidates: Sequence[str], references: Sequence[Sequence[str]]) -> flo
     return total / n_items
 
 
+def meteor_single(ct: Sequence[str], rt: Sequence[str]) -> float:
+    """METEOR of one candidate against one reference, as token lists: each
+    candidate token in turn is aligned to the first reference position no
+    earlier token took that holds the same token, then each token left
+    unaligned to the first free position with the same stem; the harmonic
+    mean weights recall nine times precision, less the fragmentation
+    penalty 0.5 · (chunks / matches)³, a chunk a run of alignments adjacent
+    on both sides."""
+    if not ct or not rt:
+        return 0.0
+    aligned: list[Optional[int]] = [None] * len(ct)
+    taken = [False] * len(rt)
+    for key in (lambda w: w, stem):
+        for i, word in enumerate(ct):
+            if aligned[i] is not None:
+                continue
+            for j, ref_word in enumerate(rt):
+                if not taken[j] and key(ref_word) == key(word):
+                    aligned[i] = j
+                    taken[j] = True
+                    break
+    pairs = [(i, j) for i, j in enumerate(aligned) if j is not None]
+    matches = len(pairs)
+    if matches == 0:
+        return 0.0
+    precision = matches / len(ct)
+    recall = matches / len(rt)
+    fmean = 10 * precision * recall / (recall + 9 * precision)
+    chunks = 1 + sum(1 for (i0, j0), (i1, j1) in zip(pairs, pairs[1:]) if (i1, j1) != (i0 + 1, j0 + 1))
+    return fmean * (1 - 0.5 * (chunks / matches) ** 3)
+
+
 def meteor(candidate: str, references: Sequence[str]) -> float:
     ct = tokenize(candidate)
-    return max(_meteor_single(ct, tokenize(r)) for r in references)
+    return max(meteor_single(ct, tokenize(r)) for r in references)
 
 
 def rouge_l(candidate: str, references: Sequence[str]) -> float:
@@ -411,6 +445,26 @@ def infer_record_set(text: str) -> Optional[RecordSet]:
         if best is None or res.dropped < best.dropped:
             best = res
     return None if best is None else best.record_set
+
+
+def _phrase(label: str) -> str:
+    return label.lower().replace("_", " ")
+
+
+def rule_d2t_generate(text: str) -> str:
+    """`RuleBasedD2T().generate(text)` by rendering the record set
+    `infer_record_set` reads: one sentence per triple, or per MR pair with
+    the subject pair's value as the subject and that pair itself rendered
+    alone only when it is the only kind of pair; "" when nothing parses."""
+    rs = infer_record_set(text)
+    if rs is None:
+        return ""
+    if rs.kind is RecordKind.TRIPLESET:
+        return " ".join(f"{t.subject} {_phrase(t.predicate)} {t.object}." for t in rs.records)
+    name = next((m.value for m in rs.records if m.is_subject), None)
+    lead = "" if name is None else f"{name} "
+    sentences = [f"{lead}{_phrase(m.key)} {m.value}." for m in rs.records if not m.is_subject]
+    return " ".join(sentences or [f"{name}."])
 
 
 def _bounded_find(text: str, phrase: str, spans: Sequence[tuple[int, int]]) -> Optional[int]:

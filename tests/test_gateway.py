@@ -40,7 +40,7 @@ from d2t_selftrain import (
     train_batch,
 )
 from d2t_selftrain import gateway, selection
-from d2t_selftrain.gateway import MAX_LEN, MIN_LEN, RemoteServable, infer_record_set
+from d2t_selftrain.gateway import MAX_LEN, MIN_LEN, RemoteServable
 from d2t_selftrain.records import _TOKEN, find_bounded
 
 
@@ -159,10 +159,11 @@ def test_inverse_property_randomized():
         assert {r.fields for r in parsed.records} == {r.fields for r in rs.records}
 
 
-def test_infer_record_set_prefers_cleaner_parse():
-    assert infer_record_set("a : b : c").kind is RecordKind.TRIPLESET
-    assert infer_record_set("a : b").kind is RecordKind.MR_SET
-    assert infer_record_set("gibberish") is None
+def test_rule_d2t_prefers_cleaner_parse():
+    d2t = RuleBasedD2T()
+    assert d2t.generate("a : b : c") == oracles.rule_d2t_generate("a : b : c") == "a b c."
+    assert d2t.generate("a : b") == oracles.rule_d2t_generate("a : b") == "a b."
+    assert d2t.generate("gibberish") == oracles.rule_d2t_generate("gibberish") == ""
 
 
 @pytest.mark.hypothesis_seeds
@@ -171,8 +172,12 @@ def test_infer_record_set_prefers_cleaner_parse():
 @example("a : b : c | d : e")  # one drop each: the tie goes to tripleset
 @example("a : b | b : a | a : b : a")  # MR set drops fewer
 @example("a : b : c\t|\td : e : f")
-def test_infer_record_set_matches_both_parses(text):
-    assert infer_record_set(text) == oracles.infer_record_set(text)
+@example("name : A | name : B")  # subject pairs only: the first one's value alone
+@example("food : English | area : riverside")  # no subject pair
+@example("NAME : The Inn | food : English")  # the subject key case-folded
+@example(" \t\xa0 ")
+def test_rule_d2t_matches_oracle(text):
+    assert RuleBasedD2T().generate(text) == oracles.rule_d2t_generate(text)
 
 
 # ------------------------------------------------ token index vs full scan

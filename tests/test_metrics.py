@@ -182,6 +182,21 @@ def test_meteor_requires_references():
         meteor("a", [])
 
 
+# words whose stems collide ("run", "runs", "running"; "cat", "cats") next to
+# exact repeats, so either stage can take a position the other wanted
+_meteor_words = st.lists(st.sampled_from(["run", "runs", "running", "ran", "cat", "cats", "the", "a"]), max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ct=_meteor_words, rt=_meteor_words)
+@example(ct=[], rt=["cat"])
+@example(ct=["cat"], rt=[])
+@example(ct=["runs", "run", "run"], rt=["run", "running", "runs"])
+@example(ct=["cats", "cat", "cats"], rt=["cat", "cats", "cat", "cats"])
+def test_meteor_alignment_matches_first_unused_scan(ct, rt):
+    assert metrics._meteor_single(ct, rt) == oracles.meteor_single(ct, rt)
+
+
 # ---------------------------------------------------------------- ROUGE-L
 
 

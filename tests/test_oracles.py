@@ -19,7 +19,8 @@ _KERNELS = {
     "_max_ref_counts",
     "delinearize",
     "_record_from_segment",
-    "infer_record_set",
+    "RuleBasedD2T",
+    "_meteor_single",
     "osf",
     "tokenize",
     "source_values",
@@ -65,11 +66,11 @@ def test_kernel_references_are_found():
     source = (
         "from d2t_selftrain.metrics import _ter_edits as fast\n"
         "from d2t_selftrain import gateway\n"
-        "gateway.infer_record_set('')\n"
+        "gateway.RuleBasedD2T().generate('')\n"
         "import d2t_selftrain.metrics._advance\n"
     )
     assert _kernel_references(source) == [
         (1, "_ter_edits"),
-        (3, "infer_record_set"),
+        (3, "RuleBasedD2T"),
         (4, "_advance"),
     ]
