@@ -216,7 +216,7 @@ def _cmd_eval(args) -> int:
             try:
                 reconstructions.append(delinearize(line, kind).record_set)
             except DelinearizeError:
-                reconstructions.append(None)
+                reconstructions.append(RecordSet.empty(kind))
     report = evaluate_corpus(
         candidates,
         references,

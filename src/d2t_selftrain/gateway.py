@@ -39,13 +39,9 @@ from typing import BinaryIO, NamedTuple, Optional, Sequence, Union
 
 from .errors import GatewayError
 # delinearize is not called here: perfbench/tracing.py patches it where it traces
-from .linearize import delinearize, render_records  # noqa: F401
+from .linearize import delinearize, read_segments, render_records  # noqa: F401
 from .records import (
-    _SEGMENT_HEADS,
-    _SEGMENT_TAILS,
     _TOKEN,
-    FIELD_SEP,
-    RECORD_SEP,
     SUBJECT_KEY,
     Record,
     RecordKind,
@@ -53,7 +49,6 @@ from .records import (
     find_bounded,
     fold,
     has_lone_surrogate,
-    normalize_text,
 )
 
 
@@ -95,26 +90,14 @@ class RuleBasedD2T:
     subject pair, keyed `records.SUBJECT_KEY`, supplies the subject, if any,
     and is rendered on its own, "<name value>.", only when no other pair is).
 
-    The source is read once, as `delinearize` would read it but with no
-    variant given and no record built: each segment of its `normalize_text`
-    form split at RECORD_SEP is dropped if a field would border on a
-    separator (it starts with "| " or ": ", ends with " |" or " :", or holds
-    " : : "), and otherwise its FIELD_SEP field count makes it a triple (3),
-    an MR pair (2) or a drop (any other). The variant with more valid
-    segments is rendered, the tripleset on ties; with none the answer is "".
+    The source is read by `linearize.read_segments`, the one reader of
+    linear text, which `delinearize` uses too; no variant is given and no
+    record is built. The variant with more valid segments is rendered, the
+    tripleset on ties; with none the answer is "".
     """
 
     def generate(self, source_text: str) -> str:
-        triples: list[list[str]] = []
-        pairs: list[list[str]] = []
-        for seg in normalize_text(source_text).split(RECORD_SEP):
-            if seg.startswith(_SEGMENT_HEADS) or seg.endswith(_SEGMENT_TAILS) or " : : " in seg:
-                continue
-            fields = seg.split(FIELD_SEP)
-            if len(fields) == 3:
-                triples.append(fields)
-            elif len(fields) == 2:
-                pairs.append(fields)
+        triples, pairs, _ = read_segments(source_text)
         if len(triples) >= len(pairs):
             return " ".join([f"{s} {_phrase(p)} {o}." for s, p, o in triples])
         name = next((v for k, v in pairs if k.casefold() == SUBJECT_KEY), None)
@@ -333,7 +316,7 @@ def read_message(stream: BinaryIO) -> Optional[dict]:
 
 def _parse_endpoint(endpoint: str) -> tuple[str, int]:
     host, sep, port = endpoint.rpartition(":")
-    if not sep or not host or not port.isdigit() or not 0 < int(port) < 65536:
+    if not sep or not host or not (port.isascii() and port.isdigit()) or not 0 < int(port) < 65536:
         raise ValueError(f"endpoint must look like host:port, got {endpoint!r}")
     return host, int(port)
 

@@ -1,4 +1,4 @@
-"""Linear string format for record sets, and its inverse parser.
+"""Linear string format for record sets, and the one reader of it.
 
 Triplesets render as "s : p : o | s : p : o | ...". MR sets render each pair
 as "k : v" with the common-subject pair placed first, e.g.
@@ -7,10 +7,12 @@ because text-to-data model output arrives as linearized strings and must be
 interpreted even when partially malformed. What a text about a record set
 must mention is the set's own `RecordSet.source_values`.
 
-The parser normalises a linear string once. Normalised text has no leading,
-trailing or double space, so the fields cut from it at the separators are
-normalised already; only where a field's edge meets a separator can it be
-invalid, and that is all `records._record_from_segment` checks.
+Linear text is read in one place, `read_segments`, for `delinearize` and the
+rule-based D2T model alike: it normalises the string once and cuts it into
+segments and fields. Normalised text has no leading, trailing or double
+space, so the fields cut from it at the separators are normalised already;
+only where a field's edge meets a separator can it be invalid, and that is
+all the edge rule checks.
 """
 
 from __future__ import annotations
@@ -22,12 +24,22 @@ from .records import (
     FIELD_SEP,
     RECORD_SEP,
     SUBJECT_KEY,
-    Record,
     RecordKind,
     RecordSet,
-    _record_from_segment,
+    _record_from_fields,
     normalize_text,
 )
+
+# The edge rule. A segment of `normalize_text` output split at RECORD_SEP
+# holds no " | " and no leading, trailing or double space, so its FIELD_SEP
+# fields are non-empty, already normalised and hold neither separator: a
+# field can only border on one at its edges. `records._clean_field` rejects
+# such a field exactly when the segment starts with "| " or ": ", ends with
+# " |" or " :", or holds " : : " (a field edged by ":" inside it); a segment
+# that is "|" or ":" alone has one field and fails the arity check. The
+# other inner cases would hold " | ".
+_SEGMENT_HEADS = ("| ", ": ")
+_SEGMENT_TAILS = (" |", " :")
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,29 @@ def linearize(rs: RecordSet) -> str:
     return render_records(rs.records)
 
 
+def read_segments(t: str) -> tuple[list[list[str]], list[list[str]], int]:
+    """The segments of a linear string, read once with no variant given: the
+    fields of each segment that holds a triple (3 FIELD_SEP fields) and of
+    each that holds an MR pair (2), in text order, and the number of
+    segments. A segment whose field would border on a separator (the edge
+    rule above) or that has another field count is in neither list."""
+    triples: list[list[str]] = []
+    pairs: list[list[str]] = []
+    text = normalize_text(t)
+    if not text:
+        return triples, pairs, 0
+    segments = text.split(RECORD_SEP)
+    for seg in segments:
+        if seg.startswith(_SEGMENT_HEADS) or seg.endswith(_SEGMENT_TAILS) or " : : " in seg:
+            continue
+        fields = seg.split(FIELD_SEP)
+        if len(fields) == 3:
+            triples.append(fields)
+        elif len(fields) == 2:
+            pairs.append(fields)
+    return triples, pairs, len(segments)
+
+
 def delinearize(t: str, kind: RecordKind) -> DelinearizeResult:
     """Parse a linearized string back into a record set.
 
@@ -79,16 +114,8 @@ def delinearize(t: str, kind: RecordKind) -> DelinearizeResult:
     Raises DelinearizeError, its message stating the drop count, when nothing
     parses.
     """
-    records: list[Record] = []
-    dropped = 0
-    text = normalize_text(t)
-    for seg in text.split(RECORD_SEP) if text else ():
-        r = _record_from_segment(kind, seg)
-        if r is None:
-            dropped += 1
-        else:
-            records.append(r)
+    triples, pairs, count = read_segments(t)
+    records = [_record_from_fields(kind, f) for f in (triples if kind is RecordKind.TRIPLESET else pairs)]
     if not records:
-        raise DelinearizeError(f"no parseable {kind.value} segment in {t!r} ({dropped} dropped)")
-    return DelinearizeResult(RecordSet(records, kind), dropped)
-
+        raise DelinearizeError(f"no parseable {kind.value} segment in {t!r} ({count} dropped)")
+    return DelinearizeResult(RecordSet(records, kind), count - len(records))

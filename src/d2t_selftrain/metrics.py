@@ -624,15 +624,16 @@ def evaluate_corpus(
     candidates: Sequence[str],
     references: Sequence[Sequence[str]],
     sources: Optional[Sequence[RecordSet]] = None,
-    reconstructions: Optional[Sequence[Optional[RecordSet]]] = None,
+    reconstructions: Optional[Sequence[RecordSet]] = None,
     smoothing: bool = False,
 ) -> MetricReport:
     """Full report over an aligned corpus.
 
     BLEU, NIST and CIDEr are corpus-level; METEOR, ROUGE-L and TER are means
     of per-item best-reference scores. EPM needs `sources`; OSF additionally
-    needs `reconstructions` (items with a missing reconstruction score zero).
-    Each distinct text is analysed once and shared by every metric.
+    needs `reconstructions`, where a text that yielded no record is the empty
+    set and scores zero. Each distinct text is analysed once and shared by
+    every metric.
     """
     _check_aligned(candidates, references)
     analysed: dict[str, _Text] = {}
@@ -659,10 +660,7 @@ def evaluate_corpus(
     if sources is not None:
         report_epm = sum(epm(x, c) for x, c in zip(sources, candidates)) / n
         if reconstructions is not None:
-            scores = [
-                osf(x, r) if r is not None else OsfScore(0.0, 0.0, 0.0)
-                for x, r in zip(sources, reconstructions)
-            ]
+            scores = [osf(x, r) for x, r in zip(sources, reconstructions)]
             report_osf = OsfScore(
                 precision=sum(s.precision for s in scores) / n,
                 recall=sum(s.recall for s in scores) / n,

@@ -6,11 +6,12 @@ sequences used by the linear string format (" | " and " : ") are reserved and
 rejected inside record fields at construction time, because the format defines
 no escaping scheme. Nor may a field start with ": " or "| ", end with " :" or
 " |", or be ":" or "|" alone: next to a separator it would form another one
-and shift the fields. `delinearize` builds records from fields cut out of
-normalised text through `_record_from_segment`, which skips the second
-normalisation but rejects exactly the fields construction rejects. Records
-keep their fields in slots; every RecordSet, parsed ones too, goes through
-its constructor's variant check.
+and shift the fields. Linear text has one reader, `linearize.read_segments`,
+whose edge rule drops exactly the segments whose fields construction would
+reject; `delinearize` builds records from the fields it cuts through
+`_record_from_fields`, which skips the second normalisation. Records keep
+their fields in slots; every RecordSet, parsed ones too, goes through its
+constructor's variant check.
 
 Each record variant owns its shape: `fields` in linear order, `values` (the
 fields a text about the record should mention) and `label` (the field that
@@ -180,18 +181,6 @@ def make_record(kind: RecordKind, fields: Sequence[str]) -> Record:
     return make(*fields)
 
 
-# The trusted path `delinearize` builds records on. A segment of
-# `normalize_text` output split at RECORD_SEP holds no " | " and no leading,
-# trailing or double space, so its FIELD_SEP fields are non-empty, already
-# normalised and hold neither separator: a field can only border on one at
-# its edges. `_clean_field` rejects such a field exactly when the segment
-# starts with "| " or ": ", ends with " |" or " :", or holds " : : " (a
-# field edged by ":" inside it); a segment that is "|" or ":" alone has one
-# field and fails the arity check. The other inner cases would hold " | ".
-_SEGMENT_HEADS = ("| ", ": ")
-_SEGMENT_TAILS = (" |", " :")
-
-
 # Each variant with the setters of its slots in field order: they fill a
 # record made by object.__new__ past the frozen __setattr__.
 _SLOT_SETTERS = {
@@ -200,16 +189,11 @@ _SLOT_SETTERS = {
 }
 
 
-def _record_from_segment(kind: RecordKind, seg: str) -> Optional[Record]:
-    """The `kind` record a segment of normalised linear text holds, built
-    without re-normalising its fields; None where `make_record` would raise
-    RecordFieldError."""
-    if seg.startswith(_SEGMENT_HEADS) or seg.endswith(_SEGMENT_TAILS) or " : : " in seg:
-        return None
-    fields = seg.split(FIELD_SEP)
+def _record_from_fields(kind: RecordKind, fields: Sequence[str]) -> Record:
+    """The `kind` record of fields that `linearize.read_segments` cut from
+    normalised text, as many as the variant has, set as they are: the
+    reader's edge rule has already refused every field `make_record` would."""
     make, setters = _SLOT_SETTERS[kind]
-    if len(fields) != len(setters):
-        return None
     r = object.__new__(make)
     for set_field, value in zip(setters, fields):
         set_field(r, value)

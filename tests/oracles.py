@@ -6,8 +6,9 @@ and is named after it; `edit_distance` checks `metrics._advance` and
 `t2d_generate` checks `RuleBasedT2D.generate`, `rule_d2t_generate`
 checks `RuleBasedD2T.generate` by rendering what `infer_record_set` parses,
 `delinearize` re-normalises every field through the checked record
-constructors and so checks the trusted segment path `linearize.delinearize`
-builds records on (`records._record_from_segment`), `source_values` and
+constructors and so checks the one reader of linear text that
+`linearize.delinearize` builds records on (`linearize.read_segments`,
+`records._record_from_fields`), `source_values` and
 `value_in_text` check a RecordSet's `source_values` and `folded_values` as
 selection, the optimizer and EPM read them and `records.find_bounded` as
 they apply it, and `osf` checks the `record_keys` that `metrics.osf`

@@ -395,6 +395,10 @@ def test_external_handle_validates_endpoint():
         external_handle(Direction.D2T, "no-port")
     with pytest.raises(ValueError):
         external_handle(Direction.D2T, "host:99999")
+    # str.isdigit is true of these, and int() reads the first two as 80 and 3
+    for endpoint in ("h:\uff18\uff10", "h:\u0663", "h:\u00b2"):
+        with pytest.raises(ValueError, match="host:port"):
+            external_handle(Direction.D2T, endpoint)
     h = external_handle(Direction.D2T, "127.0.0.1:8000")
     assert h.backend is Backend.EXTERNAL
 

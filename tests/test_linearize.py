@@ -1,11 +1,14 @@
 """Linear string format: rendering, parsing, and round-trip identity."""
 
+import ast
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import d2t_selftrain
 import oracles
 from conftest import DART_SOURCE, E2E_SOURCE, linear_texts, random_record_set
 from d2t_selftrain import (
@@ -225,3 +228,22 @@ def test_delinearize_matches_renormalising_parser(text, kind):
     # normalised already, so the fields need no second pass
     assert _outcome(delinearize, text, kind) == _outcome(oracles.delinearize, text, kind)
     assert _observed(delinearize, text, kind) == _observed(oracles.delinearize, text, kind)
+
+
+def test_only_the_reader_and_the_field_checks_name_the_separators():
+    # `linearize` reads linear text and `records` refuses separators in
+    # fields; a second module cutting text at them would fork the parse
+    naming = set()
+    for path in Path(d2t_selftrain.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & {"RECORD_SEP", "FIELD_SEP"}:
+                naming.add(path.stem)
+    assert naming == {"linearize", "records"}

@@ -728,7 +728,7 @@ def test_evaluate_corpus_full_report():
     ]
     cands = ["a p b", "c q d"]
     refs = [[c] for c in cands]
-    recon = [sources[0], None]  # second reconstruction failed to parse
+    recon = [sources[0], RecordSet.empty(RecordKind.TRIPLESET)]  # second reconstruction failed to parse
     report = evaluate_corpus(cands, refs, sources=sources, reconstructions=recon)
     assert report.epm == pytest.approx(1.0, abs=APPROX)
     assert report.osf.precision == pytest.approx(0.5, abs=APPROX)

@@ -18,7 +18,8 @@ _KERNELS = {
     "_analysed",
     "_max_ref_counts",
     "delinearize",
-    "_record_from_segment",
+    "read_segments",
+    "_record_from_fields",
     "RuleBasedD2T",
     "_meteor_single",
     "osf",

@@ -75,9 +75,9 @@ def test_evaluate_corpus_equals_per_metric_reads(corpus, smoothing, seed):
     cands, refs = corpus
     rng = random.Random(seed)
     sources = [random_record_set(rng) for _ in cands]
-    # a reconstruction is missing, exact, or shares only x's first record
+    # a reconstruction is empty, exact, or shares only x's first record
     recon = [
-        rng.choice([None, x, RecordSet(x.records[:1] + random_record_set(rng, x.kind).records, x.kind)])
+        rng.choice([RecordSet.empty(x.kind), x, RecordSet(x.records[:1] + random_record_set(rng, x.kind).records, x.kind)])
         for x in sources
     ]
     got = evaluate_corpus(cands, refs, sources=sources, reconstructions=recon, smoothing=smoothing)
