@@ -238,9 +238,8 @@ class RunState:
     selection totals, the audit's facts (pairs re-judged, stale notes, the
     distinct reserve keys in first-draw order), the best checkpoints (their
     validation scores and tags, None before the first save) and the stage
-    timings. Its JSON form is the snapshot's "state". `_reserve_seen`
-    holds the reserve keys again as a set, for the membership check, and
-    takes no part in equality or the JSON form."""
+    timings. Its fields are the keys of its JSON form, the snapshot's
+    "state"."""
 
     epochs: list[dict] = field(default_factory=list)
     selection: dict = field(default_factory=lambda: _selection_stats((), ()))
@@ -249,7 +248,6 @@ class RunState:
     reserve_keys: list[tuple[str, str]] = field(default_factory=list)
     best: dict = field(default_factory=lambda: dict.fromkeys(("meteor", "osf_precision", "d2t_tag", "t2d_tag")))
     timing: dict[str, float] = field(default_factory=dict)
-    _reserve_seen: set[tuple[str, str]] = field(default_factory=set, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -476,22 +474,31 @@ class Orchestrator:
             state.epochs.append(trace.summary())
             _add_counts(state.selection, state.epochs[-1]["selection"])
         with self._timed("audit"):
+            # a self-memory pair revalidates only against a tuple of the block
+            # whose gold source is the pair's source, and each tuple only once
+            self_memory = self.cfg.method.uses_self_memory
+            unused: dict[str, list[int]] = {}
+            if self_memory:
+                examples = self.cfg.train.examples
+                for k, i in enumerate(self.plan.epoch_indices[trace.epoch]):
+                    unused.setdefault(examples[i].source_text, []).append(k)
+                reserve_seen = set(state.reserve_keys)
             for pair in trace.subset:
-                if pair.origin is Origin.GOLD and self.cfg.method.uses_self_memory:
+                if pair.origin is Origin.GOLD and self_memory:
                     # a self-memory subset's gold pairs are reserve top-ups
-                    if pair.key() not in state._reserve_seen:
-                        state._reserve_seen.add(pair.key())
+                    if pair.key() not in reserve_seen:
+                        reserve_seen.add(pair.key())
                         state.reserve_keys.append(pair.key())
                 if pair.origin not in (Origin.SELF_MEMORY_Y_PRIME, Origin.SELF_MEMORY_Y_DPRIME):
                     continue
-                i = pair.tuple_index
-                if i is None or not 0 <= i < len(trace.tuples):
-                    state.stale.append(f"epoch {trace.epoch}: unmatched pair {pair.key()!r}")
-                    continue
-                tup = trace.tuples[i]
-                verdict = judge_pair(tup)
-                if verdict.accepted and elite_pair(tup, verdict, pair.source_text) == pair:
-                    state.revalidated += 1
+                positions = unused.get(pair.source_text, [])
+                for k in positions:
+                    tup = trace.tuples[k]
+                    verdict = judge_pair(tup)
+                    if verdict.accepted and elite_pair(tup, verdict, pair.source_text) == pair:
+                        positions.remove(k)
+                        state.revalidated += 1
+                        break
                 else:
                     state.stale.append(f"epoch {trace.epoch}: re-judge rejects {pair.key()!r}")
 

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, fields, is_dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, is_dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import RecordFieldError, VariantMismatchError
@@ -320,31 +320,23 @@ class Origin(enum.Enum):
 
 @dataclass(frozen=True)
 class Pair:
-    """One training pair with a provenance tag, immutable once assigned.
-
-    `tuple_index` points a self-memory pair at the epoch tuple it was
-    selected from; it takes no part in equality or serialization.
-    """
+    """One training pair with a provenance tag, immutable once assigned. A
+    self-memory pair names its tuple by nothing but its source: the audit
+    finds that tuple in the epoch's block."""
 
     source_text: str
     target_text: str
     origin: Origin
-    tuple_index: Optional[int] = field(default=None, compare=False)
 
     def key(self) -> tuple[str, str]:
         return (self.source_text, self.target_text)
 
 
-@cache
-def _compared_fields(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.compare)
-
-
 def json_default(value):
     """The JSON form of a run value, as `json`'s `default` hook: a value with
     its own `to_dict` (a RecordSet) as that method says, an enum as its
-    value, any other dataclass as the dict of its fields that take part in
-    equality (so no `Pair.tuple_index`). TypeError for anything else."""
+    value, any other dataclass as its fields, read from its `__dict__`, which
+    holds those and nothing else. TypeError for anything else."""
     to_dict = getattr(value, "to_dict", None)
     if to_dict is not None:
         return to_dict()
@@ -352,5 +344,5 @@ def json_default(value):
         return value.value
     cls = type(value)
     if is_dataclass(cls):
-        return {name: getattr(value, name) for name in _compared_fields(cls)}
+        return vars(value)
     raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")

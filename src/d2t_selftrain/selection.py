@@ -94,16 +94,11 @@ def judge_pair(tup: SelfMemTuple) -> SelectionVerdict:
     return SelectionVerdict(accepted=not failed, case_id=case, failed_conditions=failed)
 
 
-def elite_pair(
-    tup: SelfMemTuple,
-    verdict: SelectionVerdict,
-    source_text: str,
-    tuple_index: Optional[int] = None,
-) -> Pair:
+def elite_pair(tup: SelfMemTuple, verdict: SelectionVerdict, source_text: str) -> Pair:
     """The accepted pair for a tuple, tagged by which target was selected."""
     if verdict.case_id is CaseId.CASE2:
-        return Pair(source_text, tup.y_dprime, Origin.SELF_MEMORY_Y_DPRIME, tuple_index)
-    return Pair(source_text, tup.y_prime, Origin.SELF_MEMORY_Y_PRIME, tuple_index)
+        return Pair(source_text, tup.y_dprime, Origin.SELF_MEMORY_Y_DPRIME)
+    return Pair(source_text, tup.y_prime, Origin.SELF_MEMORY_Y_PRIME)
 
 
 def build_subset(
@@ -128,9 +123,9 @@ def build_subset(
 
     union: list[Pair] = []
     seen: set[tuple[str, str]] = set()
-    for index, (ex, tup, verdict) in enumerate(zip(gold, tuples, verdicts)):
+    for ex, tup, verdict in zip(gold, tuples, verdicts):
         if verdict.accepted:
-            pair = elite_pair(tup, verdict, ex.source_text, index)
+            pair = elite_pair(tup, verdict, ex.source_text)
         elif include_remaining:
             pair = Pair(ex.source_text, ex.target, Origin.REMAINING)
         else:

@@ -472,6 +472,53 @@ class TestAuditTamperDetection:
         # self-mem without new data must never carry remaining-pool pairs
         assert "subset-origins-allowed" in failing
 
+    def _assert_stale_pairs(self, small_splits, monkeypatch, edit):
+        _tamper_subset(monkeypatch, 2, edit)
+        audit = self._run_orchestrator(small_splits).audit()
+        check = audit["checks"][0]
+        assert check["name"] == "self-memory-pairs-revalidate"
+        assert not check["passed"] and not audit["valid"]
+        assert "re-judge rejects" in check["detail"]
+
+    @staticmethod
+    def _self_memory_positions(subset):
+        found = [k for k, p in enumerate(subset) if p.origin is Origin.SELF_MEMORY_Y_PRIME]
+        assert len(found) >= 2
+        return found
+
+    def test_swapped_sources_fail_revalidation(self, small_splits, monkeypatch):
+        # each pair's source is still a source of the block, but not its own
+        def swap_sources(subset, tuples):
+            a, b = self._self_memory_positions(subset)[:2]
+            subset = list(subset)
+            subset[a], subset[b] = (
+                replace(subset[a], source_text=subset[b].source_text),
+                replace(subset[b], source_text=subset[a].source_text),
+            )
+            return subset
+
+        self._assert_stale_pairs(small_splits, monkeypatch, swap_sources)
+
+    def test_source_from_outside_the_block_fails_revalidation(self, small_splits, monkeypatch):
+        train = small_splits[0].examples
+        block = Orchestrator(make_config(small_splits)).plan.epoch_indices[2]
+        in_block = {train[i].source_text for i in block}
+        outside = next(ex.source_text for ex in train if ex.source_text not in in_block)
+
+        def move_first_pair_out(subset, tuples):
+            a = self._self_memory_positions(subset)[0]
+            return subset[:a] + [replace(subset[a], source_text=outside)] + subset[a + 1 :]
+
+        self._assert_stale_pairs(small_splits, monkeypatch, move_first_pair_out)
+
+    def test_copied_pair_fails_revalidation(self, small_splits, monkeypatch):
+        # the copy's tuple is already matched by the pair it copies
+        def copy_first_pair(subset, tuples):
+            a, b = self._self_memory_positions(subset)[:2]
+            return subset[:b] + [subset[a]] + subset[b + 1 :]
+
+        self._assert_stale_pairs(small_splits, monkeypatch, copy_first_pair)
+
 
 class TestAborts:
     def test_bootstrap_abort_writes_snapshot(self, small_splits, tmp_path):
@@ -747,23 +794,6 @@ class TestGoldenDigests:
                 for h in handles:
                     h.close()
         assert digest == "f3a2dac6ff94886020acf85bbb7a7c7c54fdb2032bd4d63d200cde4e3f429caf"
-
-
-def test_audit_reports_pair_without_tuple_index_as_unmatched(small_splits, monkeypatch):
-    # no index at all, and an index one past the epoch's last tuple
-    for orphan_index in (lambda tuples: None, len):
-
-        def orphan_first_pair(subset, tuples):
-            pair = subset[0]
-            assert pair.origin is Origin.SELF_MEMORY_Y_PRIME
-            return [replace(pair, tuple_index=orphan_index(tuples))] + subset[1:]
-
-        _tamper_subset(monkeypatch, 2, orphan_first_pair)
-        orch = Orchestrator(make_config(small_splits, method=Method.SELF_MEM))
-        check = orch.run().audit["checks"][0]
-        assert check["name"] == "self-memory-pairs-revalidate"
-        assert not check["passed"]
-        assert "unmatched pair" in check["detail"]
 
 
 def _top_up_config(**kwargs):

@@ -2,21 +2,27 @@
 
 import json
 import pickle
+from dataclasses import fields
 
 import pytest
 
+from conftest import rule_handles
 from d2t_selftrain import (
     Example,
+    Method,
     Mr,
+    Orchestrator,
     Origin,
     Pair,
     RecordFieldError,
     RecordKind,
     RecordSet,
+    RunConfig,
     SelfMemTuple,
     Triple,
     VariantMismatchError,
     normalize_text,
+    optimize_target,
 )
 from d2t_selftrain.linearize import delinearize
 from d2t_selftrain.records import json_default, make_record, record_key
@@ -117,9 +123,33 @@ def test_self_mem_tuple_serializes_missing_fields_as_null():
     assert d["x"] == rs.to_dict()
 
 
-def test_json_form_is_the_compared_fields():
-    # tuple_index takes no part in equality, so none in the JSON form either
-    pair = Pair("s", "t", Origin.SELF_MEMORY_Y_DPRIME, tuple_index=3)
+def test_json_form_is_every_field():
+    pair = Pair("s", "t", Origin.SELF_MEMORY_Y_DPRIME)
     assert json_form(pair) == {"source_text": "s", "target_text": "t", "origin": "self-memory-y-double-prime"}
     with pytest.raises(TypeError, match="set is not JSON serializable"):
         json.dumps({"s"}, default=json_default)
+
+
+def test_every_run_value_serialises_as_exactly_its_fields(small_splits, monkeypatch):
+    # values as a run leaves them, so a hidden field or a cached property
+    # that the run fills shows up in the JSON form and fails here
+    traces = []
+    close_epoch = Orchestrator._close_epoch
+
+    def keep_trace(self, trace):
+        traces.append(trace)
+        close_epoch(self, trace)
+
+    monkeypatch.setattr(Orchestrator, "_close_epoch", keep_trace)
+    train, val, test = small_splits
+    d2t, t2d = rule_handles(small_splits)
+    orch = Orchestrator(RunConfig(Method.SELF_MEM, d2t, t2d, train, val, test, epochs=2))
+    orch.run()
+    trace = traces[-1]
+    tup = trace.tuples[0]
+    values = (tup, trace.verdicts[0], trace.subset[0], trace, orch.state, optimize_target(tup.x, tup.y_prime))
+    assert [type(v).__name__ for v in values] == [
+        "SelfMemTuple", "SelectionVerdict", "Pair", "EpochTrace", "RunState", "OptimizationOutcome",
+    ]
+    for value in values:
+        assert json_default(value) == {f.name: getattr(value, f.name) for f in fields(value)}

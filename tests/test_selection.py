@@ -264,7 +264,7 @@ _slots = st.lists(
 def test_build_subset_is_the_blocks_pairs_then_top_ups(slots, reserve_ids, include_remaining, seed):
     gold, tuples, verdicts = [], [], []
     expected, held = [], set()
-    for k, (i, kind) in enumerate(slots):
+    for i, kind in slots:
         ex = make_example(i)
         y_prime = ex.target if kind == "echo" else f"S{i} p O{i}."
         y_dprime = f"S{i} q O{i}." if kind == "case2" else None
@@ -277,9 +277,9 @@ def test_build_subset_is_the_blocks_pairs_then_top_ups(slots, reserve_ids, inclu
                 continue
             pair = Pair(ex.source_text, ex.target, Origin.REMAINING)
         elif kind == "case2":
-            pair = Pair(ex.source_text, y_dprime, Origin.SELF_MEMORY_Y_DPRIME, k)
+            pair = Pair(ex.source_text, y_dprime, Origin.SELF_MEMORY_Y_DPRIME)
         else:
-            pair = Pair(ex.source_text, y_prime, Origin.SELF_MEMORY_Y_PRIME, k)
+            pair = Pair(ex.source_text, y_prime, Origin.SELF_MEMORY_Y_PRIME)
         if pair.key() not in held:
             held.add(pair.key())
             expected.append(pair)
@@ -295,7 +295,7 @@ def test_build_subset_is_the_blocks_pairs_then_top_ups(slots, reserve_ids, inclu
     subset = build_subset(*args, **kwargs)
     assert len(subset) <= len(gold)
     block = subset[: len(expected)]
-    assert [(p, p.tuple_index) for p in block] == [(p, p.tuple_index) for p in expected]
+    assert block == expected
     top_ups = subset[len(expected) :]
     assert all(p.origin is Origin.GOLD for p in top_ups)
     keys = [p.key() for p in top_ups]
