@@ -5,7 +5,16 @@ through `_read`: UTF-8 with an optional byte-order mark, line ends as
 written, and any fault (unreadable, not UTF-8, refused by its parser) a
 DatasetError naming the file. Loaders are strict about structure but
 tolerant per entry: anything malformed is skipped and reported in
-load_warnings, and no record field is ever fabricated or repaired. The
+load_warnings, and no record field is ever fabricated or repaired.
+
+The corpora repeat their values (an E2E MR sits on about eight rows, DART
+entries share predicates and objects), so each loader call keeps memos that
+live only for that call. Each distinct raw field string is cleaned once and
+its later occurrences reuse the same cleaned string; only successes are kept,
+so a refused field is refused again, under its own field name, wherever it
+occurs. `load_e2e` reads each distinct mr string once, and the rows holding it
+share its record set and source text. Warnings stay per entry or row: a row
+replaying a read MR adds that read's warning under its own row number. The
 synthetic corpus generates clean tripleset examples whose gold targets are
 verbose but value-complete, so the rule-based baselines can exercise every
 pipeline stage on a desk.
@@ -19,11 +28,11 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, TextIO, Union
+from typing import Any, Callable, Optional, Sequence, TextIO, Union
 
 from .errors import DatasetError, LinearizationError, RecordFieldError
 from .linearize import linearize, render_records
-from .records import Example, Mr, RecordKind, RecordSet, Triple, has_lone_surrogate, make_record
+from .records import Example, Mr, RecordKind, RecordSet, Triple, _memo_maker, has_lone_surrogate
 
 
 class SplitName(enum.Enum):
@@ -85,6 +94,7 @@ def load_dart(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Data
 
     examples: list[Example] = []
     warnings: list[str] = []
+    make = _memo_maker(RecordKind.TRIPLESET)
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             warnings.append(f"entry {i}: not an object, skipped")
@@ -96,7 +106,7 @@ def load_dart(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Data
         records = []
         for j, t in enumerate(tripleset):
             try:
-                records.append(make_record(RecordKind.TRIPLESET, t))
+                records.append(make(t))
             except RecordFieldError as exc:
                 warnings.append(f"entry {i}: triple {j} rejected ({exc}), dropped")
         if not records:
@@ -109,7 +119,8 @@ def load_dart(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Data
             warnings.append(f"entry {i}: no annotations, skipped")
             continue
         texts = [ann.get("text") if isinstance(ann, dict) else ann for ann in annotations]
-        if has_lone_surrogate(source_text) or any(isinstance(t, str) and has_lone_surrogate(t) for t in texts):
+        # one check for all: joining keeps each lone surrogate one code point
+        if has_lone_surrogate("".join([source_text, *(t for t in texts if isinstance(t, str))])):
             warnings.append(f"entry {i}: lone surrogate in a triple or an annotation, skipped")
             continue
         produced = 0
@@ -162,14 +173,41 @@ def _csv_table(fh: TextIO) -> tuple[Optional[list[str]], list[dict[str, str]]]:
     return reader.fieldnames, list(reader)
 
 
+# An E2E MR's record set and source text, both None when its rows are
+# skipped, and the warning each of its rows adds after "row N: ", or None
+_MrOutcome = tuple[Optional[RecordSet], Optional[str], Optional[str]]
+
+
+def _mr_outcome(mr: str, make: Callable[[Sequence[str]], Mr]) -> _MrOutcome:
+    """What every E2E row holding `mr` yields; `make` builds its pairs."""
+    try:
+        records = tuple(map(make, _parse_mr(mr)))
+    except (ValueError, RecordFieldError) as exc:
+        return None, None, f"unparseable mr ({exc}), skipped"
+    rs = RecordSet(records, RecordKind.MR_SET)
+    if not any(r.is_subject for r in records):
+        # no common-subject pair: the pairs render as written, the first leading
+        return rs, render_records(records), f"no name attribute, using {records[0].key!r} as subject"
+    try:
+        return rs, linearize(rs), None
+    except LinearizationError as exc:
+        return None, None, f"cannot linearize ({exc}), skipped"
+
+
 def load_e2e(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> DatasetSplit:
-    """Parse the E2E CSV format with columns (mr, ref)."""
+    """Parse the E2E CSV format with columns (mr, ref).
+
+    Each distinct mr string is read once; every row holding it replays that
+    outcome, warnings under its own row number, and shares its record set
+    and source text."""
     columns, rows = _read(path, _csv_table, "parseable CSV")
     if columns is None or not {"mr", "ref"} <= set(columns):
         raise DatasetError(f"{path} lacks the mr/ref CSV columns")
 
     examples: list[Example] = []
     warnings: list[str] = []
+    make = _memo_maker(RecordKind.MR_SET)
+    outcomes: dict[str, _MrOutcome] = {}
     for i, row in enumerate(rows):
         mr, ref = row.get("mr"), row.get("ref")
         if not mr or not mr.strip():
@@ -178,24 +216,14 @@ def load_e2e(path: Union[str, Path], name: SplitName = SplitName.TRAIN) -> Datas
         if not ref or not ref.strip():
             warnings.append(f"row {i}: missing ref, skipped")
             continue
-        try:
-            pairs = _parse_mr(mr)
-            records = tuple(Mr(k, v) for k, v in pairs)
-        except (ValueError, RecordFieldError) as exc:
-            warnings.append(f"row {i}: unparseable mr ({exc}), skipped")
-            continue
-        rs = RecordSet(records, RecordKind.MR_SET)
-        if not any(r.is_subject for r in records):
-            # no common-subject pair: the pairs render as written, the first leading
-            warnings.append(f"row {i}: no name attribute, using {records[0].key!r} as subject")
-            source_text = render_records(records)
-        else:
-            try:
-                source_text = linearize(rs)
-            except LinearizationError as exc:
-                warnings.append(f"row {i}: cannot linearize ({exc}), skipped")
-                continue
-        examples.append(Example(rs, source_text, ref))
+        outcome = outcomes.get(mr)
+        if outcome is None:
+            outcome = outcomes[mr] = _mr_outcome(mr, make)
+        rs, source_text, note = outcome
+        if note is not None:
+            warnings.append(f"row {i}: {note}")
+        if rs is not None:
+            examples.append(Example(rs, source_text, ref))
     return DatasetSplit(name, tuple(examples), tuple(warnings))
 
 

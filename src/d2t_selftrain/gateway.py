@@ -139,6 +139,10 @@ class RuleBasedT2D:
     def __init__(self, record_sets: Sequence[RecordSet]):
         if not record_sets:
             raise ValueError("catalog needs at least one record set")
+        # each record set object once, in first-occurrence order: examples
+        # that share a source (a DART entry's annotations, an E2E MR's rows)
+        # share its object
+        record_sets = {id(rs): rs for rs in record_sets}.values()
         kinds = {rs.kind for rs in record_sets}
         if len(kinds) != 1:
             raise ValueError("catalog record sets must share one variant")

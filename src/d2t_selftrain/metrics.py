@@ -107,7 +107,7 @@ def _max_ref_counts(refs: Sequence[_Text], n: int) -> Counter:
     out: Counter = Counter()
     for ref in refs:
         for gram, count in ref.grams(n).items():
-            if count > out[gram]:
+            if count > out.get(gram, 0):
                 out[gram] = count
     return out
 
@@ -144,7 +144,7 @@ def bleu(
             if not grams:
                 continue
             limit = _max_ref_counts(refs, n)
-            clipped[n - 1] += sum(min(c, limit[g]) for g, c in grams.items())
+            clipped[n - 1] += sum(min(c, limit.get(g, 0)) for g, c in grams.items())
 
     precisions = []
     for n in range(1, max_n + 1):
@@ -207,7 +207,7 @@ def nist(candidates: Sequence[str], references: Sequence[Sequence[str]]) -> floa
             denom[n - 1] += sum(grams.values())
             limit = _max_ref_counts(refs, n)
             for gram, count in grams.items():
-                matched = min(count, limit[gram])
+                matched = min(count, limit.get(gram, 0))
                 if matched:
                     numer[n - 1] += matched * info(gram)
 
@@ -327,7 +327,8 @@ def cider(candidates: Sequence[str], references: Sequence[Sequence[str]]) -> flo
         for gram, count in text.grams(n).items():
             weight = idf.get(gram)
             if weight is None:
-                weight = idf[gram] = math.log(n_items / max(1, df[gram]))
+                # a gram no reference holds counts as held by one item
+                weight = idf[gram] = math.log(n_items / df.get(gram, 1))
             vec[gram] = count * weight
         return vec
 

@@ -9,7 +9,9 @@ no escaping scheme. Nor may a field start with ": " or "| ", end with " :" or
 and shift the fields. Linear text has one reader, `linearize.read_segments`,
 whose edge rule drops exactly the segments whose fields construction would
 reject; `delinearize` builds records from the fields it cuts through
-`_record_from_fields`, which skips the second normalisation. Records keep
+`_record_from_fields`, which skips the second normalisation. A loader builds
+its records through `_memo_maker`, which cleans each distinct raw field of
+one loader call once and fills the record the same way. Records keep
 their fields in slots; every RecordSet, parsed ones too, goes through its
 constructor's variant check.
 
@@ -37,7 +39,7 @@ import enum
 import re
 from dataclasses import dataclass, is_dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import RecordFieldError, VariantMismatchError
 
@@ -171,13 +173,18 @@ Record = Union[Triple, Mr]
 _KIND_TYPES = {RecordKind.TRIPLESET: Triple, RecordKind.MR_SET: Mr}
 
 
+def _arity_error(kind: RecordKind, fields) -> RecordFieldError:
+    n = len(_KIND_TYPES[kind].__match_args__)
+    return RecordFieldError(f"{kind.value} records take {n} fields, got {fields!r}")
+
+
 def make_record(kind: RecordKind, fields: Sequence[str]) -> Record:
     """The `kind` record built from its fields in order. RecordFieldError when
     `fields` is not a list or tuple of as many strings as the record has."""
     make = _KIND_TYPES[kind]
     # a dataclass's __match_args__ names its fields in order
     if not isinstance(fields, (list, tuple)) or len(fields) != len(make.__match_args__):
-        raise RecordFieldError(f"{kind.value} records take {len(make.__match_args__)} fields, got {fields!r}")
+        raise _arity_error(kind, fields)
     return make(*fields)
 
 
@@ -198,6 +205,34 @@ def _record_from_fields(kind: RecordKind, fields: Sequence[str]) -> Record:
     for set_field, value in zip(setters, fields):
         set_field(r, value)
     return r
+
+
+def _memo_maker(kind: RecordKind) -> Callable[[Sequence[str]], Record]:
+    """`make_record` for `kind`, with a memo for one loader call that its
+    records are cleaned through. A raw string cleaned before gives the same
+    cleaned object, and each cleaned value maps to itself (it is its own
+    cleaning), so the equal fields of one call are one object. Only successes
+    enter the memo: a refused field is cleaned again wherever it occurs and
+    raises under its own field name, and a field that is not a string, which
+    could not be a key, goes straight to `_clean_field` to be refused. Each
+    checked field is set through its slot, as `_record_from_fields` does."""
+    make, setters = _SLOT_SETTERS[kind]
+    slots = tuple(zip(make.__match_args__, setters))
+    cleaned: dict[str, str] = {}
+
+    def make_cleaned(fields: Sequence[str]) -> Record:
+        if not isinstance(fields, (list, tuple)) or len(fields) != len(slots):
+            raise _arity_error(kind, fields)
+        r = object.__new__(make)
+        for (name, set_field), raw in zip(slots, fields):
+            value = cleaned.get(raw) if isinstance(raw, str) else None
+            if value is None:
+                value = _clean_field(name, raw)
+                value = cleaned[raw] = cleaned.setdefault(value, value)
+            set_field(r, value)
+        return r
+
+    return make_cleaned
 
 
 def record_key(r: Record) -> tuple[str, ...]:

@@ -11,8 +11,9 @@ constructors and so checks the one reader of linear text that
 `records._record_from_fields`), `source_values` and
 `value_in_text` check a RecordSet's `source_values` and `folded_values` as
 selection, the optimizer and EPM read them and `records.find_bounded` as
-they apply it, and `osf` checks the `record_keys` that `metrics.osf`
-compares.
+they apply it, `osf` checks the `record_keys` that `metrics.osf`
+compares, and `load_dart` and `load_e2e` check the loaders' per-call memos
+by building every record through `make_record` or `Mr` with none.
 A change that replaces a kernel compares against its oracle here and adds no
 copy of the old code. No oracle imports a kernel it checks
 (`tests/test_oracles.py`). The metric oracles add their floating-point terms
@@ -21,6 +22,8 @@ in the kernels' order, so the two agree exactly.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import unicodedata
 from collections import Counter
@@ -29,6 +32,8 @@ from typing import Optional, Sequence
 from d2t_selftrain import (
     DelinearizeError,
     DelinearizeResult,
+    Example,
+    LinearizationError,
     MetricReport,
     Mr,
     OsfScore,
@@ -36,11 +41,13 @@ from d2t_selftrain import (
     RecordKind,
     RecordSet,
     Triple,
+    linearize,
     render_records,
     split_sentences,
 )
+from d2t_selftrain.datasets import _parse_mr
 from d2t_selftrain.optimize import OptimizationOutcome
-from d2t_selftrain.records import FIELD_SEP, RECORD_SEP, Record, normalize_text, record_key
+from d2t_selftrain.records import FIELD_SEP, RECORD_SEP, Record, make_record, normalize_text, record_key
 from d2t_selftrain.stemming import stem
 
 # ---------------------------------------------------------------- edit distance, LCS
@@ -521,3 +528,88 @@ def t2d_generate(catalog: Sequence[RecordSet], text: str) -> str:
         chosen.append((min(positions[v] for v in values), idx, r))
     chosen.sort(key=lambda t: t[:2])
     return render_records([r for _, _, r in chosen])
+
+
+# ---------------------------------------------------------------- loaders
+
+
+def _holds_surrogate(text: str) -> bool:
+    return any(0xD800 <= ord(c) <= 0xDFFF for c in text)
+
+
+def _dart_entry(entry) -> tuple[list[Example], list[str]]:
+    """One DART entry's examples and its warnings, without their prefix."""
+    if not isinstance(entry, dict):
+        return [], ["not an object, skipped"]
+    tripleset = entry.get("tripleset")
+    if not isinstance(tripleset, list) or not tripleset:
+        return [], ["empty or missing tripleset, skipped"]
+    records, notes = [], []
+    for j, t in enumerate(tripleset):
+        try:
+            records.append(make_record(RecordKind.TRIPLESET, t))
+        except RecordFieldError as exc:
+            notes.append(f"triple {j} rejected ({exc}), dropped")
+    if not records:
+        return [], notes + ["no usable triples, skipped"]
+    annotations = entry.get("annotations")
+    if not isinstance(annotations, list) or not annotations:
+        return [], notes + ["no annotations, skipped"]
+    rs = RecordSet(tuple(records), RecordKind.TRIPLESET)
+    source_text = linearize(rs)
+    texts = [a.get("text") if isinstance(a, dict) else a for a in annotations]
+    if any(_holds_surrogate(t) for t in [source_text, *texts] if isinstance(t, str)):
+        return [], notes + ["lone surrogate in a triple or an annotation, skipped"]
+    usable = [isinstance(t, str) and bool(t.strip()) for t in texts]
+    notes += [f"annotation {k} has no text, dropped" for k, ok in enumerate(usable) if not ok]
+    if not any(usable):
+        notes.append("all annotations unusable, skipped")
+    return [Example(rs, source_text, t) for t, ok in zip(texts, usable) if ok], notes
+
+
+def load_dart(path) -> tuple[tuple[Example, ...], tuple[str, ...]]:
+    """`load_dart(path)`'s examples and warnings: one Example per usable
+    annotation of an entry with a usable triple, each triple built by
+    `make_record` on its own, and each string of an entry looked through for
+    a surrogate code point on its own."""
+    with open(path, encoding="utf-8-sig") as fh:
+        entries = json.load(fh)
+    examples: list[Example] = []
+    warnings: list[str] = []
+    for i, entry in enumerate(entries):
+        got, notes = _dart_entry(entry)
+        examples += got
+        warnings += [f"entry {i}: {note}" for note in notes]
+    return tuple(examples), tuple(warnings)
+
+
+def load_e2e(path) -> tuple[tuple[Example, ...], tuple[str, ...]]:
+    """`load_e2e(path)`'s examples and warnings, each row's MR parsed and its
+    pairs built by `Mr` on their own. A row without a name pair keeps its
+    pairs as written."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    examples: list[Example] = []
+    warnings: list[str] = []
+    for i, row in enumerate(rows):
+        mr, ref = row.get("mr"), row.get("ref")
+        if not (mr or "").strip():
+            warnings.append(f"row {i}: empty mr, skipped")
+            continue
+        if not (ref or "").strip():
+            warnings.append(f"row {i}: missing ref, skipped")
+            continue
+        try:
+            rs = RecordSet(tuple(Mr(k, v) for k, v in _parse_mr(mr)), RecordKind.MR_SET)
+        except (ValueError, RecordFieldError) as exc:
+            warnings.append(f"row {i}: unparseable mr ({exc}), skipped")
+            continue
+        if all(r.key.casefold() != "name" for r in rs.records):
+            warnings.append(f"row {i}: no name attribute, using {rs.records[0].key!r} as subject")
+            examples.append(Example(rs, render_records(rs.records), ref))
+            continue
+        try:
+            examples.append(Example(rs, linearize(rs), ref))
+        except LinearizationError as exc:
+            warnings.append(f"row {i}: cannot linearize ({exc}), skipped")
+    return tuple(examples), tuple(warnings)

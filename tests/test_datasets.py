@@ -20,6 +20,7 @@ from d2t_selftrain import (
     rule_based_handle,
     synthetic_dataset,
 )
+from d2t_selftrain import records
 from d2t_selftrain.datasets import SplitName, _parse_mr, read_lines
 
 GOLDEN_DART_ENTRY = {
@@ -134,12 +135,15 @@ class TestLoadDart:
             {"tripleset": [["A\ud800", "P", "B"]], "annotations": [{"text": "A stands by B."}]},
             {"tripleset": [["A", "P", "B"]], "annotations": [{"text": "A stands by B."}, {"text": "B \udfff A."}]},
             {"tripleset": [["A", "P", "B"]], "annotations": ["A \ud800 B."]},
+            # a high surrogate ending the source and a low one starting the
+            # annotation stay two code points, whatever joins them
+            {"tripleset": [["A", "P", "B\ud83d"]], "annotations": ["\ude00 B."]},
             {"tripleset": [["A", "P", "B \U0001F600"]], "annotations": [{"text": "A stands by B \U0001F600."}]},
         ]
         split = load_dart(_write_dart(tmp_path, entries))
         assert [ex.source_text for ex in split.examples] == ["A : P : B \U0001F600"]
         assert split.load_warnings == tuple(
-            f"entry {i}: lone surrogate in a triple or an annotation, skipped" for i in range(3)
+            f"entry {i}: lone surrogate in a triple or an annotation, skipped" for i in range(4)
         )
 
     def test_missing_file(self, tmp_path):
@@ -255,6 +259,173 @@ class TestLoadE2e:
         path.write_text(f'mr,ref\nname[A],"{ref}"\n', encoding="utf-8")
         with pytest.raises(DatasetError, match=f"{path.name} is not parseable CSV"):
             load_e2e(path)
+
+
+class TestLoaderMemos:
+    """A loader call cleans each distinct raw field once and reads each
+    distinct E2E MR once; the property below checks both against oracles."""
+
+    def test_equal_cleaned_fields_are_one_object(self, tmp_path):
+        entries = [
+            {"tripleset": [["Alpha Beta", "LOCATED_IN", "Gamma Delta"]], "annotations": ["One."]},
+            {
+                "tripleset": [[" Alpha  Beta", "LOCATED_IN", "Gamma Delta"], ["Gamma Delta", "NEAR", "Alpha Beta"]],
+                "annotations": ["Two."],
+            },
+        ]
+        a, b = (ex.source.records for ex in load_dart(_write_dart(tmp_path, entries)).examples)
+        assert a[0].subject is b[0].subject is b[1].object
+        assert a[0].object is b[0].object is b[1].subject
+        assert a[0].predicate is b[0].predicate
+        rows = [("name[The Inn], food[Thai]", "One."), ("name[ The  Inn ], near[Thai]", "Two.")]
+        c, d = (ex.source.records for ex in load_e2e(_write_e2e(tmp_path, rows)).examples)
+        assert c[0].key is d[0].key and c[0].value is d[0].value
+        assert c[1].value is d[1].value
+
+    def test_rows_with_one_mr_share_their_record_set(self, tmp_path):
+        rows = [
+            (GOLDEN_E2E_MR, "First."),
+            ("name[Other]", "Other."),
+            (GOLDEN_E2E_MR, "Second."),
+            ("food[Thai], area[riverside]", "Nameless."),
+            ("", "Blank."),
+            ("food[Thai], area[riverside]", "Nameless again."),
+        ]
+        split = load_e2e(_write_e2e(tmp_path, rows))
+        a, _, b, c, d = split.examples
+        assert b.source is a.source and b.source_text is a.source_text
+        assert d.source is c.source and d.source_text is c.source_text
+        assert [ex.target for ex in (a, b, c, d)] == ["First.", "Second.", "Nameless.", "Nameless again."]
+        # a replayed MR's warning is its own row's
+        assert split.load_warnings == (
+            "row 3: no name attribute, using 'food' as subject",
+            "row 4: empty mr, skipped",
+            "row 5: no name attribute, using 'food' as subject",
+        )
+
+    def test_clean_field_runs_once_per_distinct_raw_field(self, tmp_path, monkeypatch):
+        calls = []
+        clean = records._clean_field
+
+        def counting(name, raw):
+            calls.append(raw)
+            return clean(name, raw)
+
+        monkeypatch.setattr(records, "_clean_field", counting)
+        entries = [
+            {"tripleset": [["Ann Lee", "LIVES_IN", "Oslo"], ["Ann Lee", "BORN_IN", " Oslo"]], "annotations": ["x"]},
+            {"tripleset": [["Oslo", "LIVES_IN", "Ann Lee"], ["Bo", "BORN_IN", "Oslo"]], "annotations": ["y"]},
+        ]
+        load_dart(_write_dart(tmp_path, entries))
+        assert sorted(calls) == sorted({"Ann Lee", "LIVES_IN", "Oslo", "BORN_IN", " Oslo", "Bo"})
+        calls.clear()
+        rows = [("name[Ann Lee], food[Thai]", "A."), ("name[Bo], food[Thai]", "B.")] * 3
+        load_e2e(_write_e2e(tmp_path, rows))
+        assert sorted(calls) == sorted({"name", "Ann Lee", "food", "Thai", "Bo"})
+
+    def test_a_refused_field_is_refused_under_its_own_name(self, tmp_path):
+        # only cleaned fields are remembered: the same raw field is refused
+        # again, as the field it is there
+        entries = [
+            {"tripleset": [[" ", "P", "B"], ["A", "P", " "], ["A", "P", "B"]], "annotations": ["A by B."]},
+            {"tripleset": [["A", " ", "B"]], "annotations": ["A by B."]},
+        ]
+        split = load_dart(_write_dart(tmp_path, entries))
+        assert len(split) == 1
+        empty = "is empty after whitespace normalization"
+        assert split.load_warnings == (
+            f"entry 0: triple 0 rejected (record field 'subject' {empty}), dropped",
+            f"entry 0: triple 1 rejected (record field 'object' {empty}), dropped",
+            f"entry 1: triple 0 rejected (record field 'predicate' {empty}), dropped",
+            "entry 1: no usable triples, skipped",
+        )
+
+
+def _mostly(good, bad):
+    """`good` about three draws in four, `bad` the others (`st.one_of`
+    would merge repeated branches)."""
+    return st.sampled_from((good, good, good, bad)).flatmap(lambda strategy: strategy)
+
+
+# Hostile DART files: fields that clean to one value, fields that border on or
+# hold a separator, blank fields, lone surrogates and an escaped pair, fields
+# that are not strings (unhashable ones too), triples of the wrong arity or
+# not lists, entries that are not objects or lack a part, and annotations
+# that are blank, missing or not strings. Weighted so that most files keep
+# some examples.
+_dart_fields = _mostly(
+    st.sampled_from(("Alpha Beta", " Alpha Beta", "Alpha  Beta", "Alpha\tBeta\n", "Gamma", "LOCATED_IN", "B \U0001F600")),
+    st.sampled_from(
+        ("", "   ", ": Gamma", "Gamma :", "| Gamma", "Gamma |", "a | b", "a : b", ":", "|",
+         "Gamma\ud800", "\udfff", None, 7, 1.5, True, [], ["Gamma"], {"k": "Gamma"})
+    ),
+)
+_dart_triples = _mostly(st.lists(_dart_fields, min_size=3, max_size=3), st.lists(_dart_fields, max_size=4) | _dart_fields)
+_dart_texts = _mostly(
+    st.sampled_from(("Alpha Beta is in Gamma.", "Gamma.")),
+    st.sampled_from(("", "  ", "x \ud800 y", "\ude00 y", None, 3, ["Gamma"])),
+)
+_dart_annotations = _dart_texts | st.fixed_dictionaries({}, optional={"text": _dart_texts})
+_dart_entries = _mostly(
+    st.fixed_dictionaries(
+        {
+            "tripleset": st.lists(_dart_triples, min_size=1, max_size=3),
+            "annotations": st.lists(_dart_annotations, min_size=1, max_size=3),
+        }
+    ),
+    _dart_fields
+    | st.fixed_dictionaries(
+        {},
+        optional={
+            "tripleset": st.just([]) | _dart_fields | st.lists(_dart_triples, min_size=1, max_size=2),
+            "annotations": st.just([]) | _dart_texts,
+        },
+    ),
+)
+
+# Hostile E2E files: a few MRs, each on any number of rows. They hold
+# whitespace variants of one value, separator-edged and blank values and
+# keys, nameless MRs, MRs with two name pairs, and MRs that do not parse;
+# refs may be blank or missing.
+_mr_pairs = _mostly(
+    st.tuples(
+        st.sampled_from(("name", "Name", "name ", "food", "customer rating")),
+        st.sampled_from(("Alpha Beta", " Alpha Beta", "Alpha\nBeta", "Gamma", "A [nested] thing", "Café")),
+    ),
+    st.tuples(st.sampled_from(("name", "food", "a | b", "x :")), st.sampled_from(("", "  ", "a | b", ": x", "Gamma"))),
+)
+_mrs = _mostly(
+    st.lists(_mr_pairs, min_size=1, max_size=3).map(lambda pairs: ", ".join(f"{k}[{v}]" for k, v in pairs)),
+    st.sampled_from(("", "   ", "name[A", "junk", "name[A] junk", "]", "name[A], Name[B]")),
+)
+_refs = _mostly(st.sampled_from(("Ref.", "Another ref.")), st.sampled_from(("", "  ")))
+
+
+@st.composite
+def _e2e_rows(draw):
+    mrs = draw(st.lists(_mrs, min_size=1, max_size=4))
+    # a row of one cell has no ref
+    rows = _mostly(st.tuples(st.sampled_from(mrs), _refs), st.tuples(st.sampled_from(mrs)))
+    return draw(st.lists(rows, max_size=10))
+
+
+@pytest.mark.hypothesis_seeds
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(_dart_entries, max_size=6))
+def test_load_dart_matches_its_oracle(tmp_path_factory, entries):
+    path = tmp_path_factory.mktemp("dart") / "dart.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    split = load_dart(path)
+    assert (split.examples, split.load_warnings) == oracles.load_dart(path)
+
+
+@pytest.mark.hypothesis_seeds
+@settings(max_examples=300, deadline=None)
+@given(rows=_e2e_rows())
+def test_load_e2e_matches_its_oracle(tmp_path_factory, rows):
+    path = _write_e2e(tmp_path_factory.mktemp("e2e"), rows)
+    split = load_e2e(path)
+    assert (split.examples, split.load_warnings) == oracles.load_e2e(path)
 
 
 # Lines as the line reader returns them: no "\n" inside and no "\r" at the end,

@@ -370,6 +370,25 @@ def test_rule_t2d_catalog_holds_each_fold_once():
     assert sorted(phrases.values()) == ["born in", "lives in"]
 
 
+def test_rule_t2d_reads_each_record_set_object_once():
+    # examples sharing a source (a DART entry's annotations, an E2E MR's
+    # rows) share its object; the catalog reads it at its first occurrence
+    class CountedRecords(tuple):
+        reads = 0
+
+        def __iter__(self):
+            CountedRecords.reads += 1
+            return super().__iter__()
+
+    shared = RecordSet((Triple("Ann Lee", "LIVES_IN", "Oslo"),), RecordKind.TRIPLESET)
+    object.__setattr__(shared, "records", CountedRecords(shared.records))
+    other = RecordSet((Triple("Bo", "LIVES_IN", "Oslo"), Triple("Ann Lee", "BORN_IN", "Bergen")), RecordKind.TRIPLESET)
+    cat = RuleBasedT2D([shared, other, shared, shared])
+    assert CountedRecords.reads == 1
+    once = RuleBasedT2D([shared, other])
+    assert (cat._entries, cat._values, cat._by_token) == (once._entries, once._values, once._by_token)
+
+
 # ------------------------------------------------------------ handles
 
 

@@ -28,6 +28,10 @@ _KERNELS = {
     "folded_values",
     "record_keys",
     "find_bounded",
+    "load_dart",
+    "load_e2e",
+    "_memo_maker",
+    "_mr_outcome",
 }
 
 
