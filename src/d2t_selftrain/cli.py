@@ -198,6 +198,9 @@ def _references(line: str) -> list[str]:
 
 
 def _cmd_eval(args) -> int:
+    if args.reconstructions and not args.sources:
+        print("error: --reconstructions requires --sources", file=sys.stderr)
+        return 2
     candidates = read_lines(args.hyp)
     references = list(_parse_lines(args.refs, read_lines(args.refs), _references))
     kind = RecordKind(args.kind)
@@ -208,9 +211,6 @@ def _cmd_eval(args) -> int:
             _parse_lines(args.sources, read_lines(args.sources), lambda line: delinearize(line, kind).record_set)
         )
     if args.reconstructions:
-        if sources is None:
-            print("error: --reconstructions requires --sources", file=sys.stderr)
-            return 2
         reconstructions = []
         for line in read_lines(args.reconstructions):
             try:

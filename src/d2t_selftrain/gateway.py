@@ -334,7 +334,7 @@ class RemoteServable:
     or a transport or framing failure (socket error or timeout, end of
     stream, a reply cut off before its newline, malformed or over-long
     line, wrong id) closes the connection and the next call opens a new
-    one; a server's refusal (ok false) keeps it. Nothing is retried.
+    one; a server's refusal (any ok but true) keeps it. Nothing is retried.
     The reply fields are passed on as they came: the batch calls check them.
     """
 
@@ -367,7 +367,8 @@ class RemoteServable:
             # the next call reconnects with ids from 1
             self.close()
             raise
-        if not resp.get("ok"):
+        # identity, not truth: the string "false" and the number 1 are truthy
+        if resp.get("ok") is not True:
             raise GatewayError(f"server refused {cmd!r}: {resp.get('error', 'no error given')}")
         return resp
 

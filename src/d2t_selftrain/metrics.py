@@ -358,33 +358,6 @@ def _match_masks(rt: Sequence[str]) -> dict[str, int]:
     return peq
 
 
-def _advance(
-    peq: dict[str, int], m: int, state: tuple[int, int, int], tokens: Sequence[str]
-) -> tuple[int, int, int]:
-    """Myers' bit-vector edit distance in Hyyrö's global form: from the column
-    state (vp, vn, score) after a hypothesis prefix, consume `tokens`. Bit k of
-    vp/vn is a +1/-1 vertical delta at reference position k; score is the word
-    edit distance of the prefix read so far to the whole m-token reference."""
-    mask = (1 << m) - 1
-    top = 1 << (m - 1)
-    vp, vn, score = state
-    for tok in tokens:
-        eq = peq.get(tok, 0)
-        xv = eq | vn
-        xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = vn | ~(xh | vp) & mask
-        hn = vp & xh
-        if hp & top:
-            score += 1
-        elif hn & top:
-            score -= 1
-        hp = (hp << 1 | 1) & mask
-        hn = (hn << 1) & mask
-        vp = hn | ~(xv | hp) & mask
-        vn = hp & xv
-    return vp, vn, score
-
-
 # Shift candidates scored together in one bit-vector pass; a step holds the
 # state of at most this many at a time.
 _TER_LANES = 64
@@ -394,52 +367,43 @@ def _lane_distances(
     peq: dict[str, int],
     m: int,
     hyp: Sequence[str],
-    prefix: Sequence[tuple[int, int, int]],
     lanes: Sequence[tuple[int, int, int]],
 ) -> list[int]:
     """Edit distance to the reference of each shifted hypothesis (i, L, j):
     `hyp` with its L tokens from i moved to position j of the rest.
 
-    Every candidate runs `_advance`'s step in its own (m + 1)-bit lane of the
-    same integers: the spare bit above a lane's m bits takes the carry out of
-    its addition and the bit its left shift pushes out, and is masked off.
-    A lane joins at min(i, j) with the state after that prefix of `hyp`, and
-    at each later position x it reads hyp[x - delta]: delta is j - i in the
-    moved block, +L or -L in the tokens it displaces, and 0 from
-    max(i, j) + L on. Lanes with the same delta share one match mask per
-    position. Bit k of a lane's vp/vn is the vertical delta at reference
-    row k, so its distance is n plus their difference in popcount."""
+    Myers' bit-vector edit distance (JACM 1999) in Hyyrö's global form, with
+    every candidate in its own (m + 1)-bit lane of the same integers: the
+    spare bit above a lane's m bits takes the carry out of its addition and
+    the bit its left shift pushes out, and is masked off. Bit k of a lane's
+    vp/vn is a +1/-1 vertical delta at reference row k. Every lane starts
+    at position 0 from the start state, and at each position x it reads
+    hyp[x - delta]: delta is 0 before min(i, j), j - i in the moved block,
+    +L or -L in the tokens it displaces, and 0 again from max(i, j) + L on.
+    Lanes with the same delta share one match mask per position. A lane's
+    distance is n plus the difference in popcount of its vp and vn, so the
+    null move (0, n, 0) gives the distance of `hyp` itself."""
     n = len(hyp)
     width = m + 1
     ones = (1 << m) - 1
     row = [peq.get(tok, 0) for tok in hyp]
-    joins = [0] * n
+    low = 0
     flips: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for k, (i, length, j) in enumerate(lanes):
         bit = 1 << k * width
+        low |= bit
         if j < i:
             start, turn, end, first, second = j, j + length, i + length, j - i, length
         else:
             start, turn, end, first, second = i, j, j + length, -length, j - i
-        joins[start] |= bit
-        at = flips[start]
-        at[first] = at.get(first, 0) ^ bit
-        at = flips[turn]
-        at[first] = at.get(first, 0) ^ bit
-        at[second] = at.get(second, 0) ^ bit
-        at = flips[end]
-        at[second] = at.get(second, 0) ^ bit
-        at[0] = at.get(0, 0) ^ bit
-    vp = vn = mask = low = 0
-    groups: dict[int, int] = {}
-    for x in range(min(min(i, j) for i, _, j in lanes), n):
-        bits = joins[x]
-        if bits:
-            pvp, pvn, _ = prefix[x]
-            vp |= pvp * bits
-            vn |= pvn * bits
-            mask |= ones * bits
-            low |= bits
+        for x, leave, enter in ((start, 0, first), (turn, first, second), (end, second, 0)):
+            at = flips[x]
+            at[leave] = at.get(leave, 0) ^ bit
+            at[enter] = at.get(enter, 0) ^ bit
+    mask = vp = ones * low
+    vn = 0
+    groups = {0: low}
+    for x in range(n):
         for delta, flip in flips[x].items():
             bits = groups.pop(delta, 0) ^ flip
             if bits:
@@ -468,10 +432,12 @@ def _ter_edits(hyp: Sequence[str], rt: Sequence[str]) -> int:
     reduces word edit distance (first such shift on ties), one edit each,
     then add the residual edit distance. `rt` must be non-empty.
 
-    Each step records the distance state after every prefix of `hyp`, and
-    scores its candidates `_TER_LANES` at a time in one pass over `hyp`
-    (`_lane_distances`). The first candidate with the largest gain wins, so
-    a candidate that repeats an earlier shifted hypothesis can only tie.
+    The distance of `hyp` is read once, as its null move (0, n, 0); each
+    step scores its candidates `_TER_LANES` at a time in one pass over `hyp`
+    (`_lane_distances`), and a lane's distance is exact, so after a shift
+    the distance is the winner's. The first candidate with the largest gain
+    wins, so a candidate that repeats an earlier shifted hypothesis can only
+    tie.
 
     Only work that can change the result is done. The distance is at least
     max(n, m) minus the LCS, the LCS is at most the bag-of-words overlap, and
@@ -491,21 +457,16 @@ def _ter_edits(hyp: Sequence[str], rt: Sequence[str]) -> int:
         occurrences.setdefault(tok, []).append(k)
     overlap = sum(min(c, len(occurrences.get(t, ()))) for t, c in Counter(hyp).items())
     floor = max(n, m) - overlap
+    (dist,) = _lane_distances(peq, m, hyp, ((0, n, 0),))
     shifts = 0
-    while True:
-        prefix = [((1 << m) - 1, 0, m)]
-        for tok in hyp:
-            prefix.append(_advance(peq, m, prefix[-1], (tok,)))
-        dist = prefix[-1][2]
-        if dist <= floor:
-            break
+    while dist > floor:
         best_gain = 0
         best: Optional[tuple[int, int, int]] = None
         lanes: list[tuple[int, int, int]] = []
 
         def score() -> None:
             nonlocal best_gain, best
-            for lane, d in zip(lanes, _lane_distances(peq, m, hyp, prefix, lanes)):
+            for lane, d in zip(lanes, _lane_distances(peq, m, hyp, lanes)):
                 if dist - d > best_gain:
                     best_gain = dist - d
                     best = lane
@@ -538,6 +499,7 @@ def _ter_edits(hyp: Sequence[str], rt: Sequence[str]) -> int:
         removed = hyp[:i] + hyp[i + length :]
         hyp = removed[:j] + hyp[i : i + length] + removed[j:]
         shifts += 1
+        dist -= best_gain
     return shifts + dist
 
 

@@ -1,8 +1,8 @@
 """One definitional oracle per fast kernel.
 
 Each function here is the plainest form of what a kernel in `src/` computes,
-and is named after it; `edit_distance` checks `metrics._advance` and
-`metrics._lane_distances`, `meteor_single` checks `metrics._meteor_single`,
+and is named after it; `edit_distance` checks `metrics._lane_distances`,
+`meteor_single` checks `metrics._meteor_single`,
 `t2d_generate` checks `RuleBasedT2D.generate`, `rule_d2t_generate`
 checks `RuleBasedD2T.generate` by rendering what `infer_record_set` parses,
 `delinearize` re-normalises every field through the checked record

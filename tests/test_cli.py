@@ -326,6 +326,14 @@ class TestEvalCommand:
         assert rc == 2
         assert "requires --sources" in capsys.readouterr().err
 
+    def test_reconstructions_require_sources_before_any_file_is_read(self, tmp_path, capsys):
+        # a usage error is reported as one, even when --hyp cannot be read
+        refs = self._write(tmp_path / "refs.txt", ["x"])
+        recon = self._write(tmp_path / "rec.txt", ["A : P : B"])
+        argv = ["eval", "--hyp", str(tmp_path / "missing.txt"), "--refs", refs, "--reconstructions", recon]
+        assert main(argv) == 2
+        assert "requires --sources" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         refs = self._write(tmp_path / "refs.txt", ["x"])
         rc = main(["eval", "--hyp", str(tmp_path / "nope.txt"), "--refs", refs])

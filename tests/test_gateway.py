@@ -879,7 +879,8 @@ def test_read_message_refuses_non_finite_constants(token):
 
 class _ScriptedServer:
     """Mock model server that answers its n-th request as `script[n]` says:
-    "ok" echoes the inputs, "refuse" answers ok false, "stall" never answers,
+    "ok" echoes the inputs, "refuse" answers ok false, "str-ok" and "int-ok"
+    answer ok "false" and ok 1 with the error "disk full", "stall" never answers,
     "eof" closes the connection, "garbage" sends a non-JSON line, "wrong-id"
     answers under another id, "bool-id" under the id true, "bool-loss"
     answers ok with the loss true, "inf-loss" with the loss 1e999 (which
@@ -920,6 +921,8 @@ class _ScriptedServer:
                         return
                     rid = {"wrong-id": req["id"] + 1, "bool-id": True}.get(action, req["id"])
                     reply = {"id": rid, "ok": action != "refuse", "outputs": req.get("inputs")}
+                    if action in ("str-ok", "int-ok"):
+                        reply.update(ok="false" if action == "str-ok" else 1, error="disk full")
                     if action == "bool-loss":
                         reply["loss"] = True
                     if action == "surrogate":
@@ -987,6 +990,22 @@ def test_remote_servable_keeps_connection_after_refusal():
         finally:
             remote.close()
     assert srv.requests == [(0, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("fault", ["str-ok", "int-ok"])
+def test_remote_servable_refuses_an_ok_that_is_not_true(fault):
+    # truthy is not success: only JSON true is
+    with _ScriptedServer([fault, fault, "ok"]) as srv:
+        h = external_handle(Direction.D2T, srv.endpoint)
+        try:
+            with pytest.raises(GatewayError, match="server refused 'train': disk full"):
+                train_batch(h, [("a", "b")])
+            with pytest.raises(GatewayError, match="server refused 'save': disk full"):
+                checkpoint(h, CheckpointAction.SAVE, "best")
+            checkpoint(h, CheckpointAction.SAVE, "best")
+        finally:
+            h.close()
+    assert srv.requests == [(0, 1), (0, 2), (0, 3)]
 
 
 class _CloseRaises:

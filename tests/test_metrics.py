@@ -1,8 +1,7 @@
 """Evaluation metrics: hand-computed cases, invariants, report plumbing, and
 each fast kernel against its one oracle in `tests/oracles.py`.
 
-The bit-parallel edit distance (`_advance`, `_lane_distances`) is checked
-against `oracles.edit_distance`, the bit-parallel LCS against
+The bit-parallel edit distance (`_lane_distances`) is checked against `oracles.edit_distance`, the bit-parallel LCS against
 `oracles.lcs_len`, the TER search against `oracles.ter_edits` and CIDEr
 against `oracles.cider`. A change that replaces one of these kernels
 compares against that oracle and adds no copy of the old code here."""
@@ -43,7 +42,7 @@ from d2t_selftrain import (
     tokenize,
 )
 from d2t_selftrain import metrics
-from d2t_selftrain.metrics import _advance, _lane_distances, _lcs_len, _match_masks, _ter_edits
+from d2t_selftrain.metrics import _lane_distances, _lcs_len, _match_masks, _ter_edits
 from d2t_selftrain.records import record_key
 
 APPROX = 1e-9
@@ -349,6 +348,7 @@ def test_ter_edits_match_dp_search_past_64_reference_tokens(hyp, ref):
     assert _ter_edits(hyp, ref) == oracles.ter_edits(hyp, ref)
 
 
+@pytest.mark.hypothesis_seeds
 @settings(max_examples=1000, deadline=None)
 @given(pair=_token_pairs(12, (1, 12)))
 @example(pair=("a a b c".split(), "c b a a".split()))
@@ -368,9 +368,10 @@ def test_ter_edits_match_full_scan_search_past_64_reference_tokens(pair):
 @settings(max_examples=200, deadline=None)
 @given(hyp=_tokens("abcd", 0, 100), ref=_tokens("abcd", 1, 100))
 def test_bit_parallel_distance_matches_dp(hyp, ref):
-    m = len(ref)
-    start = ((1 << m) - 1, 0, m)
-    assert _advance(_match_masks(ref), m, start, hyp)[2] == oracles.edit_distance(hyp, ref)
+    # the null move (0, n, 0) is the hypothesis itself, n = 0 included
+    null_move = (0, len(hyp), 0)
+    got = _lane_distances(_match_masks(ref), len(ref), hyp, [null_move])
+    assert got == [oracles.edit_distance(hyp, ref)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,18 +379,18 @@ def test_bit_parallel_distance_matches_dp(hyp, ref):
 @example(ref="the cat sat on the mat".split(), keep=[False, True, False, True, True, True] + [False] * 74)
 def test_ter_scores_no_candidate_for_a_subsequence_of_the_reference(ref, keep):
     # a subsequence is m - n insertions away, which the bag-of-words floor
-    # already proves optimal: only the prefix pass over hyp reads tokens
+    # already proves optimal: only the null move's pass over hyp reads tokens
     hyp = [tok for tok, kept in zip(ref, keep) if kept]
     calls = []
 
-    def counting_advance(peq, m, state, tokens):
-        calls.append(len(tokens))
-        return _advance(peq, m, state, tokens)
+    def recording_lane_distances(peq, m, hyp, lanes):
+        calls.append(list(lanes))
+        return _lane_distances(peq, m, hyp, lanes)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "_advance", counting_advance)
+        mp.setattr(metrics, "_lane_distances", recording_lane_distances)
         assert _ter_edits(hyp, ref) == len(ref) - len(hyp)
-    assert calls == [1] * len(hyp)
+    assert calls == [[(0, len(hyp), 0)]]
 
 
 def test_ter_ties_keep_the_first_shift():
@@ -427,6 +428,7 @@ def _lane_cases(draw, ref_sizes):
     return hyp, ref, lanes
 
 
+@pytest.mark.hypothesis_seeds
 @settings(max_examples=300, deadline=None)
 @given(case=st.one_of(_lane_cases((1, 1)), _lane_cases((2, 12)), _lane_cases((63, 65))))
 @example(case=(["a"], ["a"], [(0, 1, 0)]))
@@ -434,12 +436,8 @@ def _lane_cases(draw, ref_sizes):
 def test_lane_distances_match_dp_per_candidate(case):
     # 1-token references make 2-bit lanes; 63-65 tokens straddle a machine word
     hyp, ref, lanes = case
-    peq, m = _match_masks(ref), len(ref)
-    prefix = [((1 << m) - 1, 0, m)]
-    for tok in hyp:
-        prefix.append(_advance(peq, m, prefix[-1], (tok,)))
     expected = [oracles.edit_distance(_shifted(hyp, *lane), ref) for lane in lanes]
-    assert _lane_distances(peq, m, hyp, prefix, lanes) == expected
+    assert _lane_distances(_match_masks(ref), len(ref), hyp, lanes) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -456,6 +454,7 @@ def test_ter_edits_match_both_searches_around_a_word_of_reference_tokens(m, data
     assert _ter_edits(hyp, ref) == oracles.ter_edits(hyp, ref)
 
 
+@pytest.mark.hypothesis_seeds
 @settings(max_examples=100, deadline=None)
 @given(m=st.sampled_from([63, 64, 65]), data=st.data())
 def test_ter_edits_match_full_scan_search_around_a_word_of_reference_tokens(m, data):
@@ -487,9 +486,9 @@ def test_ter_edits_cross_a_chunk_edge_at_the_module_chunk_size():
     rng.shuffle(hyp)
     chunks = []
 
-    def recording_lane_distances(peq, m, hyp, prefix, lanes):
+    def recording_lane_distances(peq, m, hyp, lanes):
         chunks.append(len(lanes))
-        return _lane_distances(peq, m, hyp, prefix, lanes)
+        return _lane_distances(peq, m, hyp, lanes)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_lane_distances", recording_lane_distances)
@@ -539,36 +538,26 @@ def test_ter_edits_keep_the_first_of_duplicate_best_shifts(pair):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_ter_scores_candidates_without_advance(seed):
-    # candidate scoring reads no token through _advance: every call is one
-    # token of a step's prefix pass, n calls from the start state per step
+def test_ter_reads_the_hypothesis_distance_once_per_search(seed):
+    # the first pass of a search is the null move alone; every later lane is
+    # a real shift, so after a shift the distance is the winner's
     rng = random.Random(seed)
     ref = [rng.choice("abcdef") for _ in range(rng.randint(8, 20))]
     hyp = ref[:]
     rng.shuffle(hyp)
     hyp = hyp[: rng.randint(len(hyp) - 3, len(hyp))]
-    m, n = len(ref), len(hyp)
-    start = ((1 << m) - 1, 0, m)
     calls = []
-    scored = []
 
-    def counting_advance(peq, m, state, tokens):
-        calls.append((state, len(tokens)))
-        return _advance(peq, m, state, tokens)
-
-    def counting_lane_distances(peq, m, hyp, prefix, lanes):
-        scored.append(len(lanes))
-        return _lane_distances(peq, m, hyp, prefix, lanes)
+    def recording_lane_distances(peq, m, hyp, lanes):
+        calls.append(list(lanes))
+        return _lane_distances(peq, m, hyp, lanes)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "_advance", counting_advance)
-        mp.setattr(metrics, "_lane_distances", counting_lane_distances)
+        mp.setattr(metrics, "_lane_distances", recording_lane_distances)
         assert _ter_edits(hyp, ref) == oracles.ter_edits(hyp, ref)
-    assert scored, "no candidate was scored"
-    assert all(length == 1 for _, length in calls)
-    steps = len(calls) // n
-    assert len(calls) == steps * n >= n
-    assert [state for state, _ in calls[::n]] == [start] * steps
+    assert calls[0] == [(0, len(hyp), 0)]
+    assert calls[1:], "no candidate was scored"
+    assert all(i != j for lanes in calls[1:] for i, _, j in lanes)
 
 
 def test_ter_empty_reference_rejected():
