@@ -11,27 +11,36 @@ Subcommands:
   delinearize  linear strings on stdin -> JSON record sets on stdout
 
 Exit codes: 0 success, 1 error, 2 usage error, 3 a run whose audit failed
-(its report is still written).
+(its report is still written), 130 an interrupted command. During `run`,
+SIGTERM interrupts as Ctrl-C does, so either writes the `--resume` snapshot
+of the epochs closed so far.
+
+`eval` reads each `--reconstructions` line as the run reads a T2D answer,
+through `pipeline.read_answer`, so it reproduces a run's final metrics from
+the run's test outputs, references, sources and T2D answers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .datasets import SplitName, load_dart, load_e2e, read_lines, synthetic_dataset
-from .errors import DatasetError, DelinearizeError, MetricError, PipelineError, RecordFieldError
+from .errors import DatasetError, MetricError, PipelineError, RecordFieldError
 from .gateway import Direction, RuleBasedT2D, external_handle, rule_based_handle
 from .linearize import delinearize, linearize
 from .metrics import evaluate_corpus
 from .optimize import optimize_target
-from .pipeline import DataMode, Method, Orchestrator, RunConfig
+from .pipeline import DataMode, Method, Orchestrator, RunConfig, read_answer
 from .records import RecordKind, RecordSet, json_default
 
 EXIT_AUDIT_FAILED = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports Ctrl-C
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,12 +220,7 @@ def _cmd_eval(args) -> int:
             _parse_lines(args.sources, read_lines(args.sources), lambda line: delinearize(line, kind).record_set)
         )
     if args.reconstructions:
-        reconstructions = []
-        for line in read_lines(args.reconstructions):
-            try:
-                reconstructions.append(delinearize(line, kind).record_set)
-            except DelinearizeError:
-                reconstructions.append(RecordSet.empty(kind))
+        reconstructions = [read_answer(line, kind) for line in read_lines(args.reconstructions)]
     report = evaluate_corpus(
         candidates,
         references,
@@ -271,11 +275,26 @@ def _cmd_delinearize(args) -> int:
     return _print_stdin(lambda line: _delinearized_json(line, kind))
 
 
+@contextmanager
+def _sigterm_interrupts():
+    """Within the block, SIGTERM raises KeyboardInterrupt as Ctrl-C does."""
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, interrupt)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
+            with _sigterm_interrupts():
+                return _cmd_run(args)
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "optimize":
@@ -286,6 +305,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        # a run's interrupt names where it stopped and whether the snapshot was written
+        print(f"error: {str(exc) or 'interrupted'}", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

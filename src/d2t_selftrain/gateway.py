@@ -42,13 +42,13 @@ from .errors import GatewayError
 from .linearize import delinearize, read_segments, render_records  # noqa: F401
 from .records import (
     _TOKEN,
-    SUBJECT_KEY,
     Record,
     RecordKind,
     RecordSet,
     find_bounded,
     fold,
     has_lone_surrogate,
+    is_subject_key,
 )
 
 
@@ -87,8 +87,9 @@ class RuleBasedD2T:
 
     Each record becomes one sentence: "<subject> <predicate phrase> <object>."
     for triples, "<name value> <key phrase> <value>." for MR pairs (the
-    subject pair, keyed `records.SUBJECT_KEY`, supplies the subject, if any,
-    and is rendered on its own, "<name value>.", only when no other pair is).
+    subject pair, whose key `records.is_subject_key` accepts, supplies the
+    subject, if any, and is rendered on its own, "<name value>.", only when
+    no other pair is).
 
     The source is read by `linearize.read_segments`, the one reader of
     linear text, which `delinearize` uses too; no variant is given and no
@@ -100,9 +101,9 @@ class RuleBasedD2T:
         triples, pairs, _ = read_segments(source_text)
         if len(triples) >= len(pairs):
             return " ".join([f"{s} {_phrase(p)} {o}." for s, p, o in triples])
-        name = next((v for k, v in pairs if k.casefold() == SUBJECT_KEY), None)
+        name = next((v for k, v in pairs if is_subject_key(k)), None)
         lead = "" if name is None else f"{name} "
-        sentences = [f"{lead}{_phrase(k)} {v}." for k, v in pairs if k.casefold() != SUBJECT_KEY]
+        sentences = [f"{lead}{_phrase(k)} {v}." for k, v in pairs if not is_subject_key(k)]
         return " ".join(sentences or [f"{name}."])
 
 

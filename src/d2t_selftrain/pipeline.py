@@ -14,8 +14,14 @@ summarised, counted and audited as it ends into the run's `RunState`, and its
 tuples are then dropped. When a model call fails or an epoch's subset comes
 out empty, the run ends in `EpochError` and writes a snapshot to the config's
 resume path: the epoch, the reason, the config and the whole state, in JSON.
-A snapshot that cannot be written is named in the error's message. Nothing
+An interrupt (`KeyboardInterrupt`) writes the same snapshot with the reason
+"interrupted" and is raised again, its message naming the stage it stopped.
+A snapshot that cannot be written is named in the stop's message. Nothing
 reads a snapshot back yet.
+
+A T2D answer becomes a record set in one place, `read_answer`, for the run
+and `eval --reconstructions` alike; judging takes the empty set it gives for
+an answer that does not parse as a failed reconstruction.
 
 All sampling derives from one master seed through named sub-seeds, so a rerun
 of the same config is byte-identical (timing aside, which is reported under
@@ -111,8 +117,21 @@ def strategy_for(method: Method, data_mode: DataMode) -> Strategy:
     )
 
 
+def read_answer(text: str, kind: RecordKind) -> RecordSet:
+    """The record set `delinearize` reads from a model's linear answer as
+    `kind`, or the empty set when no segment parses, a blank answer included:
+    for the run's T2D answers and `eval --reconstructions` lines alike."""
+    try:
+        return delinearize(text, kind).record_set
+    except DelinearizeError:
+        return RecordSet.empty(kind)
+
+
 def _canonical(obj) -> str:
-    return json.dumps(obj, default=json_default, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    # a trace is a tree of fresh values, so no reference can be circular
+    return json.dumps(
+        obj, default=json_default, sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False
+    )
 
 
 def _write_json(path, obj) -> None:
@@ -321,19 +340,11 @@ class Orchestrator:
             self.state.timing[key] = self.state.timing.get(key, 0.0) + time.perf_counter() - t0
 
     def _reconstruct(self, texts: Sequence[str]) -> list[RecordSet]:
-        """The T2D model's reading of each text back into data, from one batch
-        call (none for no texts). Each answer is delinearized as the run's
-        record kind; an answer that does not parse, a blank one too, is the
-        empty set, which judging treats as a failed reconstruction."""
+        """The T2D model's reading of each text, by `read_answer`, from one
+        batch call (none for no texts)."""
         if not texts:
             return []
-        sets = []
-        for out in generate_batch(self.cfg.t2d, texts):
-            try:
-                sets.append(delinearize(out, self.kind).record_set)
-            except DelinearizeError:
-                sets.append(RecordSet.empty(self.kind))
-        return sets
+        return [read_answer(out, self.kind) for out in generate_batch(self.cfg.t2d, texts)]
 
     def _bootstrap_indices(self) -> tuple[int, ...]:
         # fixed modes reuse the first epoch block so the data budget of the
@@ -545,6 +556,22 @@ class Orchestrator:
 
         return {"valid": all(c["passed"] for c in checks), "checks": checks}
 
+    def _stage(self, epoch: int) -> str:
+        return {-1: "bootstrap", self.cfg.epochs: "test evaluation"}.get(epoch, f"epoch {epoch + 1}")
+
+    def _snapshot(self, epoch: int, reason: str) -> str:
+        """Write the snapshot of a run that stopped in `epoch` to the resume
+        path, if one is set; what to add to the stop's message, which names
+        a write that failed."""
+        if self.cfg.resume_path is None:
+            return ""
+        try:
+            _write_json(self.cfg.resume_path, {"epoch": epoch, "reason": reason, "config": self.cfg.to_dict(), "state": self.state})
+        except OSError as write_error:
+            # the stop, not the failed write, is what the caller must see
+            return f"; snapshot not written: {write_error}"
+        return ""
+
     def run(self) -> RunReport:
         self.state = state = RunState()
         epoch = -1
@@ -558,15 +585,11 @@ class Orchestrator:
             with self._timed("evaluate-test"):
                 final = self.evaluate_test()
         except (GatewayError, EmptySubsetError) as exc:
-            label = {-1: "bootstrap", self.cfg.epochs: "test evaluation"}.get(epoch, f"epoch {epoch + 1}")
-            message = f"{label} aborted: {exc}"
-            if self.cfg.resume_path is not None:
-                try:
-                    _write_json(self.cfg.resume_path, {"epoch": epoch, "reason": str(exc), "config": self.cfg.to_dict(), "state": state})
-                except OSError as write_error:
-                    # the abort, not the failed write, is what the caller must see
-                    message += f"; snapshot not written: {write_error}"
+            message = f"{self._stage(epoch)} aborted: {exc}" + self._snapshot(epoch, str(exc))
             raise EpochError(message, epoch=epoch) from exc
+        except KeyboardInterrupt as exc:
+            message = f"interrupted during {self._stage(epoch)}" + self._snapshot(epoch, "interrupted")
+            raise KeyboardInterrupt(message) from exc
 
         return RunReport(
             config=self.cfg.to_dict(),

@@ -21,8 +21,9 @@ says how they relate); `make_record` builds the variant of a RecordKind.
 A RecordSet owns the forms a text is checked against: its `source_values`,
 their `folded_values` (compared with `fold` of the text) and its
 `record_keys`, each derived once per instance on first use. An MR set's
-subject pair is the one keyed SUBJECT_KEY (`Mr.is_subject`), for the
-linearizer, the E2E loader and the rule-based models alike.
+subject pair is the one whose key `is_subject_key` accepts (its case fold is
+SUBJECT_KEY): `Mr.is_subject` asks it for the linearizer, the E2E loader and
+the rule-based T2D, and the rule-based D2T asks it of the fields it reads.
 
 One rule says whether a value appears in a text, for the T2D model, the
 selection's condition 1, EPM and the optimizer alike: `find_bounded` finds
@@ -48,6 +49,11 @@ FIELD_SEP = " : "
 
 # The key of an MR set's subject pair, the one its other pairs are about
 SUBJECT_KEY = "name"
+
+
+def is_subject_key(key: str) -> bool:
+    """Whether an MR key, normalised, names the subject pair: its case fold is SUBJECT_KEY."""
+    return key.casefold() == SUBJECT_KEY
 
 
 def normalize_text(t: str) -> str:
@@ -164,8 +170,8 @@ class Mr:
 
     @property
     def is_subject(self) -> bool:
-        """Whether this is its MR set's subject pair: its key, case-folded, is SUBJECT_KEY."""
-        return self.key.casefold() == SUBJECT_KEY
+        """Whether this is its MR set's subject pair (`is_subject_key`)."""
+        return is_subject_key(self.key)
 
 
 Record = Union[Triple, Mr]

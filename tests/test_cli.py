@@ -6,18 +6,33 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import pytest
 
 import d2t_selftrain
-from conftest import DART_SOURCE, DART_TARGET
-from d2t_selftrain import ModelServer, RuleBasedD2T, RuleBasedT2D, RuleServable, synthetic_dataset
+from conftest import DART_SOURCE, DART_TARGET, rule_handles
+from d2t_selftrain import (
+    Direction,
+    Method,
+    ModelHandle,
+    ModelServer,
+    Orchestrator,
+    RuleBasedD2T,
+    RuleBasedT2D,
+    RuleServable,
+    RunConfig,
+    load_e2e,
+    synthetic_dataset,
+)
 from d2t_selftrain import pipeline
-from d2t_selftrain.cli import EXIT_AUDIT_FAILED, main
+from d2t_selftrain.cli import EXIT_AUDIT_FAILED, EXIT_INTERRUPTED, main
+from d2t_selftrain.datasets import SplitName
 
 DART_ENTRY = {
     "tripleset": [
@@ -371,6 +386,58 @@ class TestEvalCommand:
         assert osf == {"precision": 0.5, "recall": 0.5, "f1": 0.5}
 
 
+class _GarblingT2D(RuleServable):
+    """Rule T2D servable that answers a text holding no separator for every
+    third text of a batch and a blank for the next, and keeps each batch's
+    inputs and answers."""
+
+    JUNK = "no separators here"
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.batches = []
+
+    def generate(self, inputs, max_len, min_len):
+        outputs = super().generate(inputs, max_len, min_len)
+        answers = [(x, self.JUNK, "")[i % 3] for i, x in enumerate(outputs)]
+        self.batches.append((list(inputs), answers))
+        return answers
+
+
+@pytest.mark.parametrize("dataset", ["synthetic", "e2e"])
+def test_eval_prints_the_final_metrics_of_a_run(dataset, small_splits, e2e_files, tmp_path, capsys):
+    if dataset == "synthetic":
+        splits = small_splits
+    else:
+        paths = dict(zip(e2e_files[::2], e2e_files[1::2]))
+        names = ("--train", SplitName.TRAIN), ("--val", SplitName.VALIDATION), ("--test", SplitName.TEST)
+        splits = tuple(load_e2e(paths[flag], name) for flag, name in names)
+    train, val, test = splits
+    d2t, t2d = rule_handles(splits)
+    garbling = _GarblingT2D(t2d.servable.model)
+    cfg = RunConfig(
+        method=Method.SELF_MEM, d2t=d2t, t2d=ModelHandle(Direction.T2D, garbling), train=train, val=val, test=test
+    )
+    report = Orchestrator(cfg).run()
+    # the test evaluation's batch comes last: the test outputs and the T2D's
+    # answers, whose junk and blanks read back as empty sets
+    outputs, answers = garbling.batches[-1]
+    assert {"", _GarblingT2D.JUNK} <= set(answers)
+    files = {
+        "hyp": outputs,
+        "refs": [ex.target for ex in test.examples],
+        "sources": [ex.source_text for ex in test.examples],
+        "reconstructions": answers,
+    }
+    argv = ["eval", "--kind", test.examples[0].source.kind.value]
+    for name, lines in files.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        argv += [f"--{name}", str(path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(report.final_metrics.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.fixture(scope="module")
 def e2e_files(tmp_path_factory):
     """--train/--val/--test arguments naming E2E CSVs of 200, 30 and 30 MRs."""
@@ -670,3 +737,53 @@ def test_module_entry_point_exits_with_the_commands_code():
     )
     assert run.returncode == 1
     assert run.stderr.startswith("error: no parseable tripleset segment in 'junk'")
+
+
+class _BlocksTrain(RuleServable):
+    """Rule D2T servable whose third train request, epoch 2's after the
+    bootstrap's and epoch 1's, waits until it is released."""
+
+    def __init__(self):
+        super().__init__(RuleBasedD2T())
+        self.calls = 0
+        self.arrived = threading.Event()
+        self.release = threading.Event()
+
+    def train(self, pairs):
+        self.calls += 1
+        if self.calls == 3:
+            self.arrived.set()
+            self.release.wait(60)
+        return super().train(pairs)
+
+
+def test_sigterm_interrupts_a_run_which_writes_its_snapshot_and_exits_130(tmp_path):
+    src = str(Path(d2t_selftrain.__file__).resolve().parent.parent)
+    servable = _BlocksTrain()
+    snap, report = tmp_path / "snap.json", tmp_path / "report.json"
+    with ModelServer(servable) as server:
+        argv = [
+            sys.executable, "-m", "d2t_selftrain.cli", "run", "--dataset", "synthetic", "--method", "self-mem",
+            "--d2t-endpoint", server.endpoint, "--resume", str(snap), "--report", str(report),
+        ]
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            try:
+                arrived = servable.arrived.wait(60)
+                if arrived:
+                    proc.send_signal(signal.SIGTERM)
+                else:
+                    proc.kill()  # its stderr says why the request never came
+                out, err = proc.communicate(timeout=60)
+            finally:
+                servable.release.set()
+                if proc.poll() is None:
+                    proc.kill()
+    assert arrived, err
+    assert proc.returncode == EXIT_INTERRUPTED == 130
+    assert (out, err) == ("", "error: interrupted during epoch 2\n")
+    data = json.loads(snap.read_text(encoding="utf-8"))
+    assert (data["epoch"], data["reason"]) == (1, "interrupted")
+    assert [e["epoch"] for e in data["state"]["epochs"]] == [0]
+    assert data["state"]["best"]["d2t_tag"] == "d2t-epoch1"
+    assert not report.exists()

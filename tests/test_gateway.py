@@ -25,6 +25,7 @@ from d2t_selftrain import (
     ModelHandle,
     ModelServer,
     Mr,
+    RecordFieldError,
     RecordKind,
     RecordSet,
     RuleBasedD2T,
@@ -41,7 +42,7 @@ from d2t_selftrain import (
 )
 from d2t_selftrain import gateway, selection
 from d2t_selftrain.gateway import MAX_LEN, MIN_LEN, RemoteServable
-from d2t_selftrain.records import _TOKEN, find_bounded
+from d2t_selftrain.records import _TOKEN, SUBJECT_KEY, find_bounded, is_subject_key, normalize_text
 
 
 # ------------------------------------------------------------ rule models
@@ -178,6 +179,31 @@ def test_rule_d2t_prefers_cleaner_parse():
 @example(" \t\xa0 ")
 def test_rule_d2t_matches_oracle(text):
     assert RuleBasedD2T().generate(text) == oracles.rule_d2t_generate(text)
+
+
+# Normalised MR keys near the subject key: its letters in either case, letters
+# whose case mapping changes length or leaves ASCII, separator characters,
+# and every case spelling of the subject key itself (no other character folds
+# into one of its letters)
+_subject_spellings = st.tuples(*(st.sampled_from([c, c.upper()]) for c in SUBJECT_KEY)).map("".join)
+_near_subject_keys = st.text(alphabet="nameNAMEİıſK_ :|\t", max_size=6).map(normalize_text) | _subject_spellings
+
+
+@pytest.mark.hypothesis_seeds
+@settings(max_examples=300)
+@given(_near_subject_keys)
+@example("NAME")
+@example("Name_")
+@example("nam e")
+def test_one_subject_key_rule_for_mr_pairs_and_the_rule_d2t(key):
+    try:
+        subject = Mr(key, "v").is_subject
+    except RecordFieldError:
+        return  # not a key a pair can have
+    assert is_subject_key(key) == subject
+    # the rule D2T leads each sentence with the subject pair's value
+    text = RuleBasedD2T().generate(f"food : English | {key} : The Inn")
+    assert text.startswith("The Inn food English.") == subject
 
 
 # ------------------------------------------------ token index vs full scan

@@ -10,11 +10,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import rule_handles
+from conftest import linear_texts, rule_handles
 from d2t_selftrain import (
     DataMode,
     DatasetError,
+    DelinearizeError,
     Direction,
     EmptySubsetError,
     EpochError,
@@ -36,6 +38,7 @@ from d2t_selftrain import (
     SelfMemTuple,
     Strategy,
     Triple,
+    delinearize,
     external_handle,
     linearize,
     strategy_for,
@@ -750,6 +753,38 @@ class TestAborts:
         assert data["reason"] == str(exc_info.value.__cause__)
         assert data["state"]["epochs"] == []
 
+    @pytest.mark.parametrize("resume", ["written", "unwritable", "unset"])
+    def test_an_interrupt_keeps_the_closed_epochs_in_the_snapshot(self, small_splits, tmp_path, resume):
+        class InterruptsEpoch2(RuleServable):
+            calls = 0
+
+            def train(self, pairs):
+                # bootstrap trains first, then epoch 1: the third call is epoch 2's
+                self.calls += 1
+                if self.calls == 3:
+                    raise KeyboardInterrupt
+                return super().train(pairs)
+
+        snap = {"written": tmp_path / "snapshot.json", "unwritable": tmp_path / "missing" / "snapshot.json", "unset": None}[resume]
+        cfg = replace(
+            make_config(small_splits, resume_path=snap), d2t=ModelHandle(Direction.D2T, InterruptsEpoch2(RuleBasedD2T()))
+        )
+        orch = Orchestrator(cfg)
+        want = "^interrupted during epoch 2" + ("; snapshot not written: " if resume == "unwritable" else "$")
+        with pytest.raises(KeyboardInterrupt, match=want) as exc_info:
+            orch.run()
+        assert type(exc_info.value.__cause__) is KeyboardInterrupt
+        # epoch 1 closed as in a run that goes on
+        assert orch.state.epochs == [Orchestrator(make_config(small_splits)).run().epoch_summaries[0]]
+        if resume == "written":
+            data = json.loads(snap.read_text(encoding="utf-8"))
+            assert (data["epoch"], data["reason"]) == (1, "interrupted")
+            assert data["config"] == cfg.to_dict()
+            assert data["state"]["epochs"] == orch.state.epochs
+            assert data["state"]["best"]["d2t_tag"] == "d2t-epoch1"
+        else:
+            assert not any(tmp_path.iterdir())
+
 
 def _report_digest(report) -> str:
     """sha256 of the compact, key-sorted report without timing, with server
@@ -1099,6 +1134,32 @@ def test_failed_model_answers_through_a_full_run(small_splits, monkeypatch):
     assert (osf_score.precision, osf_score.recall, osf_score.f1) == (0.375, 0.375, 0.375)
     assert _report_digest(report) == "1e11031abcf82d06881369de41cb180adcb4a57622c10af9f8a37c50f26efcbc"
     assert _report_digest(one_run()[0]) == _report_digest(report)
+
+
+# Hostile T2D answers: blank and whitespace-only text, and model-output-like
+# linear strings, mixing triple and pair segments, with a separator or part
+# of one at either edge
+_blank_answers = st.text(alphabet=" \t\n\r\xa0\u2028", max_size=4)
+_separator_edges = st.sampled_from(["", " | ", "| ", " |", "|", " : ", ": ", " :", ":"])
+_hostile_answers = _blank_answers | st.builds(lambda head, t, tail: head + t + tail, _separator_edges, linear_texts, _separator_edges)
+
+
+@pytest.mark.hypothesis_seeds
+@settings(max_examples=500)
+@given(_hostile_answers, st.sampled_from(list(RecordKind)))
+@example("", RecordKind.TRIPLESET)
+@example(" \t\xa0", RecordKind.MR_SET)
+@example("a : b : c | d : e", RecordKind.TRIPLESET)
+@example("a : b : c | d : e", RecordKind.MR_SET)
+@example(" | a : b | ", RecordKind.MR_SET)
+@example(": a : b : c", RecordKind.TRIPLESET)
+def test_read_answer_is_the_parse_or_the_empty_set(text, kind):
+    try:
+        want = delinearize(text, kind).record_set
+    except DelinearizeError:
+        want = RecordSet.empty(kind)
+    # to_dict, as records compare case-folded
+    assert pipeline.read_answer(text, kind).to_dict() == want.to_dict()
 
 
 def test_decode_limits_on_the_wire_match_the_report():
